@@ -317,11 +317,10 @@ func BenchmarkChecker(b *testing.B) {
 // per-node allocation. EXPERIMENTS.md records pre/post numbers.
 func BenchmarkCheckerAllocs(b *testing.B) {
 	for _, w := range soak.B10Workloads() {
-		h := w.B10History()
-		b.Run(fmt.Sprintf("%s/ops=%d", w.Model.Name(), w.Ops), func(b *testing.B) {
+		b.Run(w.Name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if !check.IsLinearizable(w.Model, h) {
+				if !w.Check() {
 					b.Fatal("generated history must be linearizable")
 				}
 			}

@@ -70,6 +70,12 @@ func run() int {
 		}
 	}
 
+	// Before anything announces the daemon: a supervisor that sends SIGTERM
+	// the moment it reads the listening line must get the graceful drain
+	// (final checkpoints included), not the default action.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "listen: %v\n", err)
@@ -95,8 +101,6 @@ func run() int {
 	log.Printf("linmond: listening on %s (workers=%d queue=%d window=%d%s%s)",
 		srv.Addr(), *workers, *queue, *window, durable, piped)
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	log.Printf("linmond: shutting down")
 	srv.Close()

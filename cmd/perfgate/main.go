@@ -15,14 +15,22 @@
 //     if memory scales with history length again — or if the retained
 //     verdict diverges from the unbounded monitor's.
 //
-//   - B10 allocation gate: the complete checker on the dense queue and stack
-//     workloads of BenchmarkCheckerAllocs, measured in-process with
-//     testing.Benchmark. CI fails if allocs/op exceeds -maxallocs — that is,
-//     if the interned-memo search core (internal/stateset + the persistent
-//     window states of internal/spec) regrows per-node allocation. The
-//     pre-PR string-memo checker sat at 805–1222 allocs/op on these
-//     workloads; the gate (default 400) is ~2.5x the interned checker's
-//     measured 60–160, so only a real regression trips it.
+//   - B10 allocation gate: the checker on the workloads of
+//     BenchmarkCheckerAllocs (internal/soak B10Workloads), measured
+//     in-process with testing.Benchmark, one gates[] row per leg. The dense
+//     queue and stack legs (the greedy witness path) fail CI above
+//     -maxallocs allocs/op — that is, if the interned-memo search core
+//     (internal/stateset + the persistent window states of internal/spec)
+//     regrows per-node allocation. The pre-PR string-memo checker sat at
+//     805–1222 allocs/op on these workloads; the gate (default 400) is
+//     ~2.5x the interned checker's measured 60–160, so only a real
+//     regression trips it. The frontier/queue leg (the backtracking and
+//     frontier-enumeration path: trace.FrontierRounds through a sequential
+//     retained monitor) fails CI above the B/op bound its workload carries
+//     (soak.B10Workload.MaxBytes) — that is, if the pooled search arenas or
+//     the chain-level state arena stop being reused. It allocated 195 MB/op
+//     before they existed and 76 MB/op with them; the bound, 100 MiB, sits
+//     between.
 //
 //   - B11 parallel-scaling gate: the shard-axis workload of
 //     BenchmarkParallelCheck (16 balanced dense queue shards through one
@@ -144,12 +152,13 @@ type gateEntry struct {
 
 // b10Workload is one dense-workload measurement of the B10 allocation gate.
 type b10Workload struct {
+	Name      string  `json:"name"`
 	Model     string  `json:"model"`
 	Ops       int     `json:"ops"`
 	NsPerOp   int64   `json:"ns_per_op"`
 	AllocsOp  int64   `json:"allocs_per_op"`
 	BytesOp   int64   `json:"bytes_per_op"`
-	MaxAllocs int64   `json:"max_allocs_gate"`
+	MaxAllocs int64   `json:"max_allocs_gate,omitempty"`   // dense legs only; the frontier leg's bound is its gates[] row
 	SpeedupX  float64 `json:"speedup_vs_pre_pr,omitempty"` // only with -baseline; see b10PrePRNs
 }
 
@@ -320,48 +329,54 @@ func run() int {
 	// internal/soak, so benchmark and gate cannot drift apart), run
 	// in-process via testing.Benchmark so CI needs no bench parsing.
 	for _, w := range soak.B10Workloads() {
-		h := w.B10History()
-		if !check.IsLinearizable(w.Model, h) {
+		if !w.Check() {
 			// Checked before benchmarking: a b.Fatal inside testing.Benchmark
 			// yields the zero BenchmarkResult, whose 0 allocs/op would sail
 			// under the gate.
-			fmt.Fprintf(os.Stderr, "FAIL: B10 %s/ops=%d: checker refuted a linearizable history\n",
-				w.Model.Name(), w.Ops)
+			fmt.Fprintf(os.Stderr, "FAIL: B10 %s: checker refuted a linearizable history\n", w.Name)
 			return exitSetup
 		}
 		br := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				check.IsLinearizable(w.Model, h)
+				w.Check()
 			}
 		})
 		if br.N == 0 || br.AllocsPerOp() == 0 {
-			fmt.Fprintf(os.Stderr, "FAIL: B10 %s/ops=%d produced no measurement (N=%d)\n",
-				w.Model.Name(), w.Ops, br.N)
+			fmt.Fprintf(os.Stderr, "FAIL: B10 %s produced no measurement (N=%d)\n", w.Name, br.N)
 			return exitSetup
 		}
 		bw := b10Workload{
-			Model:     w.Model.Name(),
-			Ops:       w.Ops,
-			NsPerOp:   br.NsPerOp(),
-			AllocsOp:  br.AllocsPerOp(),
-			BytesOp:   br.AllocedBytesPerOp(),
-			MaxAllocs: *maxAllocs,
+			Name:     w.Name,
+			Model:    w.Model.Name(),
+			Ops:      w.Ops,
+			NsPerOp:  br.NsPerOp(),
+			AllocsOp: br.AllocsPerOp(),
+			BytesOp:  br.AllocedBytesPerOp(),
 		}
-		if pre := b10PrePRNs[fmt.Sprintf("%s/%d", bw.Model, bw.Ops)]; *baseline && pre > 0 && bw.NsPerOp > 0 {
+		// One row per leg. The dense legs bound allocs/op under the names
+		// they have had since BENCH_PR5; the backtracking leg bounds B/op
+		// (soak.B10Workload.MaxBytes says why).
+		row := fmt.Sprintf("%s/%d", bw.Model, bw.Ops)
+		value, bound, unit := bw.AllocsOp, *maxAllocs, "allocs/op"
+		if w.MaxBytes > 0 {
+			row, value, bound, unit = w.Name, bw.BytesOp, w.MaxBytes, "B/op"
+		} else {
+			bw.MaxAllocs = *maxAllocs
+		}
+		if pre := b10PrePRNs[row]; *baseline && pre > 0 && bw.NsPerOp > 0 {
 			bw.SpeedupX = float64(pre) / float64(bw.NsPerOp)
 		}
 		res.B10 = append(res.B10, bw)
-		fmt.Printf("B10 gate: %s/ops=%d %d ns/op %d allocs/op %d B/op (max %d allocs/op)\n",
-			bw.Model, bw.Ops, bw.NsPerOp, bw.AllocsOp, bw.BytesOp, *maxAllocs)
-		b10Name := fmt.Sprintf("b10:%s/%d", bw.Model, bw.Ops)
-		if bw.AllocsOp > *maxAllocs {
-			fmt.Fprintf(os.Stderr, "FAIL: B10 %s/ops=%d allocates %d/op, above the %d gate — the search core regressed\n",
-				bw.Model, bw.Ops, bw.AllocsOp, *maxAllocs)
-			gate(b10Name, "fail", float64(bw.AllocsOp), float64(*maxAllocs), exitB10)
-		} else {
-			gate(b10Name, "pass", float64(bw.AllocsOp), float64(*maxAllocs), exitB10)
+		fmt.Printf("B10 gate: %s %d ns/op %d allocs/op %d B/op (max %d %s)\n",
+			w.Name, bw.NsPerOp, bw.AllocsOp, bw.BytesOp, bound, unit)
+		status := "pass"
+		if value > bound {
+			fmt.Fprintf(os.Stderr, "FAIL: B10 %s allocates %d %s, above the %d gate — the search core regressed\n",
+				w.Name, value, unit, bound)
+			status = "fail"
 		}
+		gate("b10:"+row, status, float64(value), float64(bound), exitB10)
 	}
 
 	// --- B11 parallel-scaling gate -----------------------------------------

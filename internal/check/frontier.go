@@ -3,7 +3,6 @@ package check
 import (
 	"repro/internal/history"
 	"repro/internal/spec"
-	"repro/internal/stateset"
 )
 
 // FinalStates enumerates the distinct sequential states reachable by
@@ -26,12 +25,18 @@ import (
 // state), continued past the first success: a configuration's subtree is
 // explored once, so each distinct final state is recorded exactly once.
 //
+// The walk runs entirely in ar, which must be empty and is empty again on
+// return; only the returned slice is allocated, because the states in it
+// become a frontier that outlives the arena.
+//
 // NOTE: this DFS, Linearizable (wg.go) and segSearch.Run (persist.go) share
-// the candidate-list/lift/memo discipline; a fix to one usually applies to
-// the others (they differ in stop condition, pending handling and state
+// the candidate-list/lift/memo discipline, and FinalStates and segSearch
+// draw their memory from the same searchArena; a fix to one usually applies
+// to the others (they differ in stop condition, pending handling and state
 // persistence, which is why they are not one function).
-func FinalStates(init spec.State, h history.History, budget, maxStates int) ([]spec.State, bool) {
-	ops := h.Ops()
+func (ar *searchArena) FinalStates(init spec.State, h history.History, budget, maxStates int) ([]spec.State, bool) {
+	ar.ops = h.OpsInto(ar.ops)
+	ops := ar.ops
 	if len(ops) == 0 {
 		return []spec.State{init}, true
 	}
@@ -40,19 +45,17 @@ func FinalStates(init spec.State, h history.History, budget, maxStates int) ([]s
 			return nil, false
 		}
 	}
+	defer ar.reset()
 
-	head, _ := buildCandidates(h, ops)
+	var head *node
+	head, ar.cand = buildCandidates(ar.cand, h, ops)
 
-	type frame struct {
-		n    *node
-		prev spec.State
-	}
 	state := init
-	bs := newBitset(len(ops))
-	in := stateset.NewInternerHint(len(ops))
-	memo := stateset.NewMemoSetHint(len(bs), 2*len(ops))
+	ar.bs = ar.bs.sized(len(ops))
+	bs := ar.bs
+	in, memo := ar.in, ar.memo
+	memo.Reset(len(bs))
 	memoOn := false // memoise only after the first backtrack, as in segSearch.Run
-	stack := make([]frame, 0, len(ops))
 	remaining := len(ops)
 	explored := 0
 	// The budget guards against combinatorial blowup, so it bounds the work
@@ -61,17 +64,17 @@ func FinalStates(init spec.State, h history.History, budget, maxStates int) ([]s
 	budget += len(ops)
 
 	var finals []spec.State
-	var seenFinal []bool // indexed by intern id, grown on demand
+	ar.seenFinal = ar.seenFinal[:0]
 
 	entry := head.next
 	for {
 		if remaining == 0 {
 			id, _ := in.Intern(state)
-			for int(id) >= len(seenFinal) {
-				seenFinal = append(seenFinal, false)
+			for int(id) >= len(ar.seenFinal) {
+				ar.seenFinal = append(ar.seenFinal, false)
 			}
-			if !seenFinal[id] {
-				seenFinal[id] = true
+			if !ar.seenFinal[id] {
+				ar.seenFinal[id] = true
 				finals = append(finals, state)
 				if len(finals) > maxStates {
 					return nil, false
@@ -102,7 +105,7 @@ func FinalStates(init spec.State, h history.History, budget, maxStates int) ([]s
 					if explored > budget {
 						return nil, false
 					}
-					stack = append(stack, frame{n: entry, prev: state})
+					ar.stack = append(ar.stack, finalFrame{n: entry, prev: state})
 					entry.lift()
 					remaining--
 					state = next
@@ -113,15 +116,15 @@ func FinalStates(init spec.State, h history.History, budget, maxStates int) ([]s
 			entry = entry.next
 			continue
 		}
-		if len(stack) == 0 {
+		if len(ar.stack) == 0 {
 			// finals is empty iff h has no linearization from init: the state
 			// contributes nothing to the cut (ok is still true — emptiness is
 			// an exact answer, not an enumeration failure).
 			return finals, true
 		}
 		memoOn = true
-		f := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+		f := ar.stack[len(ar.stack)-1]
+		ar.stack = ar.stack[:len(ar.stack)-1]
 		f.n.unlift()
 		remaining++
 		bs.clear(f.n.opIdx)

@@ -6,7 +6,6 @@ import (
 	"repro/internal/check/loglin"
 	"repro/internal/history"
 	"repro/internal/spec"
-	"repro/internal/stateset"
 )
 
 // Incremental is a stateful linearizability monitor over a growing history.
@@ -61,10 +60,10 @@ type Incremental struct {
 	retain bool
 	policy RetentionPolicy
 
-	fastTier bool           // log-linear decision tier (loglin) ahead of the exact search
-	workers  int            // parallel fan-out width; <=1 is the sequential engine
-	pool     *stateset.Pool // recycled search arenas for the parallel engine
-	wstats   []WorkerStat   // per-worker-slot diagnostics (scheduling-dependent)
+	fastTier bool         // log-linear decision tier (loglin) ahead of the exact search
+	workers  int          // parallel fan-out width; <=1 is the sequential engine
+	pool     *arenaPool   // recycled search arenas; a Shards replaces it with its shared one
+	wstats   []WorkerStat // per-worker-slot diagnostics (scheduling-dependent)
 
 	h     history.History
 	hBase int          // events discarded by GC before h[0] (retention mode)
@@ -260,8 +259,8 @@ func NewIncremental(m spec.Model, opts ...IncOption) *Incremental {
 	if inc.workers < 1 {
 		inc.workers = 1
 	}
+	inc.pool = newArenaPool()
 	if inc.workers > 1 {
-		inc.pool = &stateset.Pool{}
 		inc.wstats = make([]WorkerStat, inc.workers)
 	}
 	if inc.retain {
@@ -373,7 +372,7 @@ func (inc *Incremental) checkSegment() bool {
 		}
 		se := inc.searches[i]
 		if se == nil {
-			se = rebuildSegSearchPooled(inc.frontier[i], seg, inc.pool)
+			se = rebuildSegSearch(inc.frontier[i], seg, inc.pool)
 			inc.searches[i] = se
 			inc.stats.SearchRebuilds++
 		} else {
@@ -390,7 +389,7 @@ func (inc *Incremental) checkSegment() bool {
 		if !se.Exhausted() {
 			// Optimistic resume refuted; only a fresh search is complete.
 			se.release(inc.pool)
-			se = rebuildSegSearchPooled(inc.frontier[i], seg, inc.pool)
+			se = rebuildSegSearch(inc.frontier[i], seg, inc.pool)
 			inc.searches[i] = se
 			inc.stats.SearchRebuilds++
 			before = se.explored
@@ -466,15 +465,12 @@ func (inc *Incremental) fallback() Verdict {
 	return Yes
 }
 
-// releaseSearches returns every persistent search's pooled arena before the
-// searches slice is dropped; without this, each compaction would orphan up
-// to MaxFrontierStates grown interner/memo tables and the next round's
+// releaseSearches returns every persistent search's arena to the pool before
+// the searches slice is dropped; without this, each compaction would orphan
+// up to MaxFrontierStates grown interner/memo tables and the next round's
 // rebuilds would find an empty free list — exactly the re-grow churn the
-// pool exists to amortise. A no-op for the sequential engine (nil pool).
+// pool exists to amortise.
 func (inc *Incremental) releaseSearches() {
-	if inc.pool == nil {
-		return
-	}
 	for _, se := range inc.searches {
 		if se != nil {
 			se.release(inc.pool)
@@ -615,26 +611,36 @@ func (inc *Incremental) enumerateFrontier(piece history.History, wholeSegment bo
 		parOK = make([]bool, len(idxs))
 		runParallel(len(idxs), inc.workers, func(slot, p int) {
 			inc.wstats[slot].Tasks++
-			parFinals[p], parOK[p] = FinalStates(spec.Detach(inc.frontier[idxs[p]]),
+			ar := inc.pool.Get()
+			parFinals[p], parOK[p] = ar.FinalStates(spec.Detach(inc.frontier[idxs[p]]),
 				piece, budget, inc.policy.MaxFrontierStates)
+			inc.pool.Put(ar)
 		})
 	}
+	// merged's interner deduplicates the union; the sequential walks share
+	// one further arena, which FinalStates leaves empty between calls.
+	merged := inc.pool.Get()
+	defer inc.pool.Put(merged)
+	var walk *searchArena
+	if parFinals == nil {
+		walk = inc.pool.Get()
+		defer inc.pool.Put(walk)
+	}
 	var next []spec.State
-	seen := stateset.NewInterner()
 	for p, i := range idxs {
 		var finals []spec.State
 		var ok bool
 		if parFinals != nil {
 			finals, ok = parFinals[p], parOK[p]
 		} else {
-			finals, ok = FinalStates(inc.frontier[i], piece, budget, inc.policy.MaxFrontierStates)
+			finals, ok = walk.FinalStates(inc.frontier[i], piece, budget, inc.policy.MaxFrontierStates)
 		}
 		if !ok {
 			inc.stats.FrontierOverflows++
 			return nil, false
 		}
 		for _, f := range finals {
-			if _, fresh := seen.Intern(f); !fresh {
+			if _, fresh := merged.in.Intern(f); !fresh {
 				continue
 			}
 			next = append(next, f)

@@ -197,7 +197,7 @@ func (inc *Incremental) runState(i int, seg history.History, ctl *raceCtl, pos i
 	ws.Tasks++
 	se := inc.searches[i]
 	if se == nil {
-		se = rebuildSegSearchPooled(spec.Detach(inc.frontier[i]), seg, inc.pool)
+		se = rebuildSegSearch(spec.Detach(inc.frontier[i]), seg, inc.pool)
 		o.rebuilds++
 	} else {
 		se.Feed(seg[se.fed:])
@@ -209,7 +209,7 @@ func (inc *Incremental) runState(i int, seg history.History, ctl *raceCtl, pos i
 	if !ok && !se.aborted && !se.Exhausted() {
 		// Optimistic resume refuted; only a fresh search is complete.
 		se.release(inc.pool)
-		se = rebuildSegSearchPooled(spec.Detach(inc.frontier[i]), seg, inc.pool)
+		se = rebuildSegSearch(spec.Detach(inc.frontier[i]), seg, inc.pool)
 		o.rebuilds++
 		before = se.explored
 		ok = se.run(ctl, pos)
@@ -241,6 +241,7 @@ type Shards struct {
 	monitors []*Incremental
 	workers  int
 	verdicts []Verdict
+	pool     *arenaPool // search arenas shared by every shard (see adopt)
 }
 
 // NewShards builds one monitor per model, each configured with opts; workers
@@ -255,12 +256,22 @@ func NewShards(models []spec.Model, workers int, opts ...IncOption) *Shards {
 		monitors: make([]*Incremental, len(models)),
 		workers:  workers,
 		verdicts: make([]Verdict, len(models)),
+		pool:     newArenaPool(),
 	}
 	for i, m := range models {
-		s.monitors[i] = NewIncremental(m, opts...)
+		s.monitors[i] = s.adopt(NewIncremental(m, opts...))
 		s.verdicts[i] = Yes
 	}
 	return s
+}
+
+// adopt points inc at the shard set's arena pool. A deployment holds
+// thousands of mostly idle monitors, and a free list per monitor would keep
+// grown scratch alive for each of them; sharing bounds it per Shards. An
+// arena inc already holds is simply released into the shared pool later.
+func (s *Shards) adopt(inc *Incremental) *Incremental {
+	inc.pool = s.pool
+	return inc
 }
 
 // Add appends a fresh monitor for m, configured with opts, to the shard set
@@ -269,7 +280,7 @@ func NewShards(models []spec.Model, workers int, opts ...IncOption) *Shards {
 // driving goroutine — the monitoring service funnels both through its
 // dispatcher.
 func (s *Shards) Add(m spec.Model, opts ...IncOption) int {
-	s.monitors = append(s.monitors, NewIncremental(m, opts...))
+	s.monitors = append(s.monitors, s.adopt(NewIncremental(m, opts...)))
 	s.verdicts = append(s.verdicts, Yes)
 	return len(s.monitors) - 1
 }
@@ -279,7 +290,7 @@ func (s *Shards) Add(m spec.Model, opts ...IncOption) int {
 // its index. The per-shard verdict starts at the monitor's cached verdict, so
 // a shard restored mid-refutation stays refuted. Single-driver rule as Add.
 func (s *Shards) AddMonitor(inc *Incremental) int {
-	s.monitors = append(s.monitors, inc)
+	s.monitors = append(s.monitors, s.adopt(inc))
 	s.verdicts = append(s.verdicts, inc.Verdict())
 	return len(s.monitors) - 1
 }

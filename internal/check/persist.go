@@ -58,8 +58,8 @@ type segSearch struct {
 	fed   int  // events consumed from the segment
 	fresh bool // the last Run started from an empty stack (exact on false)
 
-	sc      *stateset.Scratch // pooled arena backing in/memo; nil if owned outright
-	aborted bool              // the last run was cancelled by the parallel race control
+	ar      *searchArena // backs in/memo; owned from construction until release
+	aborted bool         // the last run was cancelled by the parallel race control
 }
 
 // segOp mirrors history.Op for the search: the mutable completion status is
@@ -79,39 +79,30 @@ type segFrame struct {
 	res  spec.Response
 }
 
-// newSegSearch returns an empty search over a segment starting at init.
-func newSegSearch(init spec.State) *segSearch {
-	return newSegSearchScratch(init, stateset.NewScratch(), nil)
-}
-
-// newSegSearchScratch builds the search over a caller-provided arena; sc is
-// remembered so release can return it to pool (nil pool: the arena is owned
-// outright, release is a no-op).
-func newSegSearchScratch(init spec.State, sc *stateset.Scratch, pool *stateset.Pool) *segSearch {
+// newSegSearch returns an empty search over a segment starting at init,
+// memoising in ar, which the search owns until release.
+func newSegSearch(init spec.State, ar *searchArena) *segSearch {
 	head := &node{}
-	s := &segSearch{
+	return &segSearch{
 		init:  init,
 		byID:  make(map[uint64]int),
 		head:  head,
 		tail:  head,
 		calls: make(map[uint64]*node),
 		state: init,
-		in:    sc.In,
-		memo:  sc.Memo,
+		in:    ar.in,
+		memo:  ar.memo,
 		fresh: true,
+		ar:    ar,
 	}
-	if pool != nil {
-		s.sc = sc
-	}
-	return s
 }
 
-// release returns the search's arena to the pool, if it came from one. The
-// search must not Run or Feed afterwards.
-func (s *segSearch) release(pool *stateset.Pool) {
-	if s.sc != nil {
-		pool.Put(s.sc)
-		s.sc, s.in, s.memo = nil, nil, nil
+// release returns the search's arena to pool. The search must not Run or
+// Feed afterwards; its witness stack stays readable.
+func (s *segSearch) release(pool *arenaPool) {
+	if s.ar != nil {
+		pool.Put(s.ar)
+		s.ar, s.in, s.memo = nil, nil, nil
 	}
 }
 
@@ -347,18 +338,10 @@ func (s *segSearch) Witness() []LinOp {
 	return lin
 }
 
-// rebuildSegSearch builds a fresh search over the whole segment, so that its
-// first Run is an exact decision.
-func rebuildSegSearch(init spec.State, seg history.History) *segSearch {
-	s := newSegSearch(init)
-	s.Feed(seg)
-	return s
-}
-
-// rebuildSegSearchPooled is rebuildSegSearch drawing its arena from pool (nil
-// pool falls back to fresh allocation).
-func rebuildSegSearchPooled(init spec.State, seg history.History, pool *stateset.Pool) *segSearch {
-	s := newSegSearchScratch(init, pool.Get(), pool)
+// rebuildSegSearch builds a fresh search over the whole segment on an arena
+// drawn from pool, so that its first Run is an exact decision.
+func rebuildSegSearch(init spec.State, seg history.History, pool *arenaPool) *segSearch {
+	s := newSegSearch(init, pool.Get())
 	s.Feed(seg)
 	return s
 }

@@ -271,7 +271,7 @@ func TestRetentionFuzz(t *testing.T) {
 // TestFinalStates pins the exact-frontier enumerator.
 func TestFinalStates(t *testing.T) {
 	q := spec.Queue()
-	if states, ok := FinalStates(q.Init(), nil, 1000, 8); !ok || len(states) != 1 {
+	if states, ok := newSearchArena().FinalStates(q.Init(), nil, 1000, 8); !ok || len(states) != 1 {
 		t.Fatalf("empty history: states=%d ok=%v", len(states), ok)
 	}
 	concurrent := history.History{
@@ -280,7 +280,7 @@ func TestFinalStates(t *testing.T) {
 		{Kind: history.Return, Proc: 0, ID: 1, Op: spec.Operation{Method: spec.MethodEnq, Arg: 1, Uniq: 1}, Res: spec.OKResp()},
 		{Kind: history.Return, Proc: 1, ID: 2, Op: spec.Operation{Method: spec.MethodEnq, Arg: 2, Uniq: 2}, Res: spec.OKResp()},
 	}
-	states, ok := FinalStates(q.Init(), concurrent, 1000, 8)
+	states, ok := newSearchArena().FinalStates(q.Init(), concurrent, 1000, 8)
 	if !ok || len(states) != 2 {
 		t.Fatalf("concurrent enqueues: states=%d ok=%v, want 2", len(states), ok)
 	}
@@ -290,21 +290,21 @@ func TestFinalStates(t *testing.T) {
 		{Kind: history.Invoke, Proc: 0, ID: 2, Op: spec.Operation{Method: spec.MethodEnq, Arg: 2, Uniq: 2}},
 		{Kind: history.Return, Proc: 0, ID: 2, Op: spec.Operation{Method: spec.MethodEnq, Arg: 2, Uniq: 2}, Res: spec.OKResp()},
 	}
-	if states, ok := FinalStates(q.Init(), sequential, 1000, 8); !ok || len(states) != 1 {
+	if states, ok := newSearchArena().FinalStates(q.Init(), sequential, 1000, 8); !ok || len(states) != 1 {
 		t.Fatalf("sequential enqueues: states=%d ok=%v, want 1", len(states), ok)
 	}
 	// Pending op: not a quiescent cut.
-	if _, ok := FinalStates(q.Init(), concurrent[:3], 1000, 8); ok {
+	if _, ok := newSearchArena().FinalStates(q.Init(), concurrent[:3], 1000, 8); ok {
 		t.Fatal("non-quiescent history accepted")
 	}
 	// Budget exhaustion reports failure rather than approximating.
-	if _, ok := FinalStates(q.Init(), concurrent, 1, 8); ok {
+	if _, ok := newSearchArena().FinalStates(q.Init(), concurrent, 1, 8); ok {
 		t.Fatal("budget of 1 cannot enumerate two enqueues")
 	}
 	// A state with no linearization contributes an empty (exact) set.
 	full := spec.Counter()
 	bad := oneOp(0, 1, spec.Operation{Method: spec.MethodRead}, spec.ValueResp(7))
-	if states, ok := FinalStates(full.Init(), bad, 1000, 8); !ok || len(states) != 0 {
+	if states, ok := newSearchArena().FinalStates(full.Init(), bad, 1000, 8); !ok || len(states) != 0 {
 		t.Fatalf("unlinearizable history: states=%d ok=%v, want empty exact set", len(states), ok)
 	}
 }

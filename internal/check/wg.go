@@ -47,12 +47,19 @@ type node struct {
 }
 
 // buildCandidates links a candidate list over h's events out of one backing
-// array (one allocation instead of one per event), using the Inv/Ret indexes
-// Ops computed instead of re-mapping event ids. Events of unknown operations
+// array — buf's storage when it is large enough, else one allocation for the
+// lot instead of one per event — using the Inv/Ret indexes Ops computed
+// instead of re-mapping event ids. The head sentinel is the array's last
+// element; the array is returned for reuse. Events of unknown operations
 // (ill-formed input, which Ops tolerates) are skipped, as the map-based
 // construction effectively did.
-func buildCandidates(h history.History, ops []history.Op) (head *node, backing []node) {
-	backing = make([]node, len(h))
+func buildCandidates(buf []node, h history.History, ops []history.Op) (head *node, backing []node) {
+	if cap(buf) <= len(h) {
+		backing = make([]node, len(h)+1)
+	} else {
+		backing = buf[:len(h)+1]
+		clear(backing)
+	}
 	for i := range ops {
 		o := &ops[i]
 		c := &backing[o.InvIdx]
@@ -63,9 +70,9 @@ func buildCandidates(h history.History, ops []history.Op) (head *node, backing [
 			c.match = r
 		}
 	}
-	head = &node{}
+	head = &backing[len(h)]
 	prev := head
-	for i := range backing {
+	for i := range backing[:len(h)] {
 		n := &backing[i]
 		if !n.used {
 			continue
@@ -108,6 +115,17 @@ type bitset []uint64
 
 func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
 
+// sized returns an all-zero bitset for n bits, in b's storage when it fits.
+func (b bitset) sized(n int) bitset {
+	words := (n + 63) / 64
+	if cap(b) < words {
+		return make(bitset, words)
+	}
+	b = b[:words]
+	clear(b)
+	return b
+}
+
 func (b bitset) set(i int)   { b[i/64] |= 1 << (i % 64) }
 func (b bitset) clear(i int) { b[i/64] &^= 1 << (i % 64) }
 
@@ -120,7 +138,7 @@ func Linearizable(m spec.Model, h history.History) Result {
 	}
 
 	// Build the candidate list in event order.
-	head, _ := buildCandidates(h, ops)
+	head, _ := buildCandidates(nil, h, ops)
 
 	completeRemaining := 0
 	for _, o := range ops {

@@ -110,10 +110,15 @@ func (h History) Validate() error {
 // rejected by Validate (and by the monitors' admitters) before any
 // Ops-based checking, so only callers feeding unvalidated ill-formed input
 // can observe the difference.
-func (h History) Ops() []Op {
+func (h History) Ops() []Op { return h.OpsInto(make([]Op, 0, len(h)/2+1)) }
+
+// OpsInto is Ops building the list in buf's storage (from buf[:0], growing it
+// if needed), for callers that extract operations on a hot path and own a
+// reusable buffer. The result aliases buf unless h is ill-formed.
+func (h History) OpsInto(buf []Op) []Op {
 	const maxFastProc = 256
 	openByProc := [maxFastProc]int32{} // proc -> index+1 into ops; 0 = none
-	ops := make([]Op, 0, len(h)/2+1)
+	ops := buf[:0]
 	for i, e := range h {
 		switch e.Kind {
 		case Invoke:

@@ -277,11 +277,15 @@ func (s *Server) serveConn(conn net.Conn) {
 		defer writer.Done()
 		enc := json.NewEncoder(conn)
 		for f := range sess.out {
+			if f.Type == monitorapi.FrameAck {
+				// Return the credit before the ack can reach the wire: a client
+				// that refills the slot the moment it reads the ack must find
+				// it free, or the reader counts a window overrun that never
+				// happened.
+				sess.unacked.Add(-1)
+			}
 			if err := enc.Encode(f); err != nil {
 				sess.close() // keep draining so enqueue never blocks forever
-			}
-			if f.Type == monitorapi.FrameAck {
-				sess.unacked.Add(-1)
 			}
 		}
 	}()

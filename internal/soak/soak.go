@@ -265,27 +265,72 @@ func RunCheckpointSoak(m spec.Model, ops, workers int, policy check.RetentionPol
 	return res
 }
 
-// B10Workload names one dense-history workload of the B10 checker-allocation
-// family.
+// B10Workload is one leg of the B10 checker-allocation family. Check runs
+// the measured body once and reports whether the checker accepted (every
+// B10 input is linearizable).
 type B10Workload struct {
+	Name  string // benchmark leg: "queue/ops=64", "frontier/queue"
 	Model spec.Model
 	Ops   int
+	// MaxBytes, where set, makes the leg's perfgate row bound B/op instead
+	// of allocs/op: the backtracking leg allocates per explored state, so
+	// bytes are what a regrown arena shows up in.
+	MaxBytes int64
+	Check    func() bool
 }
+
+// b10FrontierRounds is the length of the frontier/queue leg: enough rounds
+// that the pooled arenas reach their steady-state size and the one-off
+// growth is a small share of B/op.
+const b10FrontierRounds = 16
+
+// b10FrontierMaxBytes is the frontier/queue leg's B/op bound: 195 MB/op
+// before the search arenas were pooled, 76 MB/op since.
+const b10FrontierMaxBytes = 100 << 20
 
 // B10Workloads returns the canonical B10 workload set, shared by
 // BenchmarkCheckerAllocs (bench_test.go) and the cmd/perfgate allocation
 // gate so the benchmark and the CI gate cannot drift onto different
 // histories.
+//
+//   - <model>/ops=N: the one-shot checker on a dense 4-process random
+//     linearizable history under a fixed seed. The witness is found greedily,
+//     so this is the no-backtrack path.
+//   - frontier/queue: trace.FrontierRounds (late reveal order) through a
+//     fresh sequential check.Incremental under Config{Retain: true} — every
+//     round enumerates a 6-state frontier and exhausts five refuting searches,
+//     so this is the backtracking and enumeration path the dense legs never
+//     reach.
 func B10Workloads() []B10Workload {
-	return []B10Workload{
-		{spec.Queue(), 64}, {spec.Queue(), 256}, {spec.Stack(), 64}, {spec.Stack(), 256},
+	var ws []B10Workload
+	for _, d := range []struct {
+		m   spec.Model
+		ops int
+	}{{spec.Queue(), 64}, {spec.Queue(), 256}, {spec.Stack(), 64}, {spec.Stack(), 256}} {
+		m, h := d.m, trace.RandomLinearizable(d.m, 7, 4, d.ops)
+		ws = append(ws, B10Workload{
+			Name: fmt.Sprintf("%s/ops=%d", m.Name(), d.ops), Model: m, Ops: d.ops,
+			Check: func() bool { return check.IsLinearizable(m, h) },
+		})
 	}
-}
-
-// B10History generates the exact history a B10 workload checks: dense
-// 4-process random linearizable streams under a fixed seed.
-func (w B10Workload) B10History() history.History {
-	return trace.RandomLinearizable(w.Model, 7, 4, w.Ops)
+	bursts := trace.FrontierRounds(b10FrontierRounds, false)
+	ops := 0
+	for _, b := range bursts {
+		ops += len(b) / 2
+	}
+	ws = append(ws, B10Workload{
+		Name: "frontier/queue", Model: spec.Queue(), Ops: ops, MaxBytes: b10FrontierMaxBytes,
+		Check: func() bool {
+			inc := check.NewIncremental(spec.Queue(), check.WithConfig(check.Config{Retain: true}))
+			for _, b := range bursts {
+				if inc.Append(b) != check.Yes {
+					return false
+				}
+			}
+			return true
+		},
+	})
+	return ws
 }
 
 // B11Spec names one shard-axis workload of the B11 parallel-check family:

@@ -40,8 +40,8 @@ func Detach(st State) State {
 // empty, so nothing the copy reaches is shared with the source chain.
 func (s *seqState) Detach() State {
 	w := s.window()
-	nb := &seqBuf{data: append(make([]int64, 0, len(w)+8), w...)}
-	n := nb.alloc()
+	nb := &seqBuf{data: append(make([]int64, 0, len(w)+8), w...), arena: &seqArena{}}
+	n := nb.arena.alloc()
 	*n = seqState{kind: s.kind, start: 0, end: int32(len(nb.data)), buf: nb, hash: s.hash, pw: s.pw}
 	return n
 }

@@ -177,3 +177,134 @@ func TestDetachSharedBacking(t *testing.T) {
 		t.Fatal("value state did not detach to itself")
 	}
 }
+
+// arenaOf returns the node arena a window state allocates from.
+func arenaOf(t *testing.T, st State) *seqArena {
+	t.Helper()
+	s, ok := st.(*seqState)
+	if !ok {
+		t.Fatalf("%T is not a window state", st)
+	}
+	return s.buf.arena
+}
+
+// branchOut applies a few different operations from every state it reaches,
+// so the walk forces divergence copies and out-of-order inserts, and returns
+// every state reached.
+func branchOut(root State, gen func() Operation, depth int) []State {
+	reached := []State{root}
+	level := []State{root}
+	for d := 0; d < depth; d++ {
+		var next []State
+		for _, st := range level {
+			for i := 0; i < 3; i++ {
+				if n, _, ok := st.Apply(gen()); ok && n != st {
+					next = append(next, n)
+				}
+			}
+		}
+		reached = append(reached, next...)
+		level = next
+	}
+	return reached
+}
+
+// TestDetachOpensFreshArena pins the chain-ownership rule for the node
+// arena: every state of a chain — across every buf a divergence opened —
+// allocates from the chain's one arena, and Detach never hands that arena to
+// the copy. The second half runs two detached chains on two goroutines while
+// the source chain is only read, which is exactly what the parallel engine
+// does; a shared arena there is a data race -race reports.
+func TestDetachOpensFreshArena(t *testing.T) {
+	for _, m := range []Model{Queue(), Stack(), Set(), PQueue()} {
+		m := m
+		t.Run(m.Name(), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(7))
+			gen := opsFor(m.Name(), rng)
+			root := m.Init()
+			src := arenaOf(t, root)
+			chain := branchOut(root, gen, 4)
+			bufs := map[*seqBuf]bool{}
+			for _, st := range chain {
+				if arenaOf(t, st) != src {
+					t.Fatalf("state %q of the source chain allocates from a different arena", st.Key())
+				}
+				bufs[st.(*seqState).buf] = true
+			}
+			if len(bufs) < 2 {
+				t.Fatal("walk never diverged: the test did not exercise a second buf")
+			}
+			seen := map[*seqArena]bool{src: true}
+			for _, st := range chain[:min(8, len(chain))] {
+				d := Detach(st)
+				da := arenaOf(t, d)
+				if seen[da] {
+					t.Fatalf("Detach(%q) shares an arena with its source chain or an earlier copy", st.Key())
+				}
+				seen[da] = true
+				for _, r := range branchOut(d, gen, 3) {
+					if arenaOf(t, r) != da {
+						t.Fatalf("state %q reached from a detached copy left the copy's arena", r.Key())
+					}
+				}
+			}
+
+			mid := chain[len(chain)/2]
+			done := make(chan struct{})
+			for g := 0; g < 2; g++ {
+				go func(seed int64) {
+					defer func() { done <- struct{}{} }()
+					branchOut(Detach(mid), opsFor(m.Name(), rand.New(rand.NewSource(seed))), 5)
+				}(int64(g))
+			}
+			<-done
+			<-done
+		})
+	}
+}
+
+// TestDivergeAtEveryLength forces a divergence copy (and, for the sorted
+// models, an out-of-order insert and an interior remove) from windows of
+// every length up to past the arena's largest word chunk, so the copy is
+// served by every rung of the chunk ladder and by the own-backing path, and
+// checks each result against the canonical key of a chain that never shared
+// anything.
+func TestDivergeAtEveryLength(t *testing.T) {
+	push := map[string]string{"queue": MethodEnq, "stack": MethodPush, "set": MethodAdd, "pqueue": MethodInsert}
+	for _, m := range []Model{Queue(), Stack(), Set(), PQueue()} {
+		st := m.Init()
+		var uniq uint64
+		apply := func(s State, method string, arg int64) State {
+			uniq++
+			n, _, ok := s.Apply(Operation{Method: method, Arg: arg, Uniq: uniq})
+			if !ok {
+				t.Fatalf("%s: %s(%d) refused on %q", m.Name(), method, arg, s.Key())
+			}
+			return n
+		}
+		for length := 0; length <= wordChunkMax+40; length++ {
+			// Two different pushes from one state: the second must copy.
+			a := apply(st, push[m.Name()], int64(2*length+1000))
+			b := apply(st, push[m.Name()], int64(2*length+1001))
+			// An element below every other one: out-of-order for set/pqueue.
+			c := apply(st, push[m.Name()], int64(-length-1))
+			fresh := Detach(st)
+			for _, got := range []struct {
+				st  State
+				arg int64
+			}{{a, int64(2*length + 1000)}, {b, int64(2*length + 1001)}, {c, int64(-length - 1)}} {
+				want := apply(Detach(fresh), push[m.Name()], got.arg)
+				if got.st.Key() != want.Key() {
+					t.Fatalf("%s length %d: pushed %d: key %q, unshared chain says %q", m.Name(), length, got.arg, got.st.Key(), want.Key())
+				}
+			}
+			if m.Name() == "set" && length >= 2 {
+				mid := int64(2*(length/2) + 1000)
+				if got, want := apply(a, MethodRemove, mid), apply(Detach(a), MethodRemove, mid); got.Key() != want.Key() {
+					t.Fatalf("set length %d: interior remove: key %q, unshared chain says %q", length, got.Key(), want.Key())
+				}
+			}
+			st = a
+		}
+	}
+}

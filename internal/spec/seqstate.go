@@ -24,13 +24,15 @@ import "sort"
 // States remain immutable values in the sense the State contract requires:
 // Apply never changes the abstract state of its receiver, and windows over a
 // shared backing never observe each other's extensions (a window only reads
-// [start, end)). Two pieces of interior mutability are invisible to the
-// abstraction but make sharing work, and both confine a state *chain* (all
+// [start, end)). Three pieces of interior mutability are invisible to the
+// abstraction but make sharing work, and all confine a state *chain* (all
 // states transitively derived from one Init) to a single goroutine at a time:
-// extending the backing array, and the per-state successor cache (Apply
+// extending the backing array, the per-state successor cache (Apply
 // memoises its last value-carrying successor and its pop successor, so DFS
-// re-visits allocate nothing). Distinct chains are fully independent —
-// concurrent checkers each call Model.Init and never share structure.
+// re-visits allocate nothing), and the chain's node arena (seqArena), which
+// every state and every divergence copy is carved out of. Distinct chains
+// are fully independent — concurrent checkers each call Model.Init and never
+// share structure.
 //
 // Fingerprints are NOT trusted for equality anywhere: they only route the
 // intern-table probe (internal/stateset), which confirms with EqualState.
@@ -82,36 +84,93 @@ const (
 // rely on.
 var keyPrefix = [...]byte{seqQueue: 'q', seqStack: 's', seqSet: 'e', seqPQueue: 'p'}
 
-// seqBuf is the backing array shared by the windows of one state chain, plus
-// the chunked arena the chain's states are allocated from. Allocating states
-// in chunks of arenaChunk turns the per-Apply interface-boxing allocation
-// into one slice allocation per chunk. A chunk is dropped from the buf once
-// full, so it lives exactly as long as some state inside it is reachable —
-// a long-lived chain (an Oracle driving a 100k-op stream) does not accumulate
-// dead states, only the backing array itself.
+// seqBuf is one backing array shared by the windows over it. A chain starts
+// with one buf and opens another wherever a window has to be copied (branch
+// divergence, out-of-order insert, compaction); every buf of the chain
+// points at the chain's single node arena.
 type seqBuf struct {
 	data  []int64
-	arena []seqState
+	arena *seqArena
 }
 
-const arenaChunk = 64
+// seqArena is the chunked allocator of one chain: its states, and the bufs
+// and backing words a divergence copies into. Allocating in chunks turns the
+// per-Apply interface-boxing allocation, and the two allocations per
+// divergence, into one slice allocation per chunk. It belongs to the chain,
+// not to a buf: a backtracking search opens a buf per divergence that hosts
+// one or two states, and a state chunk per buf was over half of the search's
+// allocated bytes. A chunk is dropped from the arena once full, so it lives
+// exactly as long as something inside it is reachable — a long-lived chain
+// (an Oracle driving a 100k-op stream) does not accumulate dead states, only
+// the backing array itself. Like the backing arrays, the arena is interior
+// mutability confined to the goroutine that owns the chain; Detach opens a
+// fresh one.
+type seqArena struct {
+	states []seqState
+	bufs   []seqBuf
+	words  []int64
+}
 
-func (b *seqBuf) alloc() *seqState {
-	if len(b.arena) == cap(b.arena) {
-		// Chunks grow 8 → 32 → 64: branch divergence creates many bufs that
-		// only ever host a handful of states, and a full-size first chunk
-		// would waste ~90% of the search's allocated bytes on them.
-		next := 4 * cap(b.arena)
-		if next < 8 {
-			next = 8
-		}
-		if next > arenaChunk {
-			next = arenaChunk
-		}
-		b.arena = make([]seqState, 0, next)
+// Chunks grow fourfold from the minimum to the maximum: most chains are
+// short (one monitored object's first few operations, a search that never
+// diverges), and full-size first chunks would be mostly waste on them.
+const (
+	stateChunkMin, stateChunkMax = 8, 64
+	bufChunkMin, bufChunkMax     = 4, 64
+	wordChunkMin, wordChunkMax   = 64, 1024
+)
+
+// nextChunk is the capacity of the chunk that replaces a full one of
+// capacity prev.
+func nextChunk(prev, min, max int) int {
+	switch n := 4 * prev; {
+	case n < min:
+		return min
+	case n > max:
+		return max
+	default:
+		return n
 	}
-	b.arena = b.arena[:len(b.arena)+1]
-	return &b.arena[len(b.arena)-1]
+}
+
+func (a *seqArena) alloc() *seqState {
+	if len(a.states) == cap(a.states) {
+		a.states = make([]seqState, 0, nextChunk(cap(a.states), stateChunkMin, stateChunkMax))
+	}
+	a.states = a.states[:len(a.states)+1]
+	return &a.states[len(a.states)-1]
+}
+
+// newBuf opens a further buf of the arena's chain, holding the concatenation
+// of parts with room to grow. The backing comes out of the word chunk with
+// its capacity pinned, so growing past the room reallocates it like any
+// slice and never runs into a neighbour.
+func (a *seqArena) newBuf(parts ...[]int64) *seqBuf {
+	n := 8
+	for _, p := range parts {
+		n += len(p)
+	}
+	if len(a.bufs) == cap(a.bufs) {
+		a.bufs = make([]seqBuf, 0, nextChunk(cap(a.bufs), bufChunkMin, bufChunkMax))
+	}
+	a.bufs = a.bufs[:len(a.bufs)+1]
+	nb := &a.bufs[len(a.bufs)-1]
+	nb.arena = a
+	if 4*n > wordChunkMax {
+		nb.data = make([]int64, 0, n) // a window this long gets its own backing
+	} else {
+		if cap(a.words)-len(a.words) < n {
+			// At least four such windows per chunk, whatever the ladder says.
+			a.words = make([]int64, 0, max(nextChunk(cap(a.words), wordChunkMin, wordChunkMax), 4*n))
+		}
+		off := len(a.words)
+		a.words = a.words[:off+n]
+		nb.data = a.words[off : off : off+n]
+	}
+	for _, p := range parts {
+		nb.data = append(nb.data, p...)
+	}
+	return nb
 }
 
 // compactAt is the dead-prefix bound past which a front pop copies the live
@@ -154,7 +213,7 @@ const (
 )
 
 func newSeqState(k seqKind) *seqState {
-	return &seqState{kind: k, buf: &seqBuf{}}
+	return &seqState{kind: k, buf: &seqBuf{arena: &seqArena{}}}
 }
 
 func (s *seqState) window() []int64 { return s.buf.data[s.start:s.end] }
@@ -173,18 +232,12 @@ func (s *seqState) pushEnd(v int64, hash, pw uint64) *seqState {
 		// Another branch already extended this window with the same value;
 		// the slot is immutable once written, so the window can cover it.
 	default:
-		w := s.window()
-		nb := &seqBuf{data: make([]int64, 0, len(w)+8)}
-		nb.data = append(nb.data, w...)
-		nb.data = append(nb.data, v)
-		// The node comes from the parent's arena: a divergence buf often hosts
-		// only a handful of states, and opening a chunk for each would waste
-		// most of the search's allocated bytes.
-		n := s.buf.alloc()
+		nb := b.arena.newBuf(s.window(), []int64{v})
+		n := b.arena.alloc()
 		*n = seqState{kind: s.kind, start: 0, end: int32(len(nb.data)), buf: nb, hash: hash, pw: pw}
 		return n
 	}
-	n := b.alloc()
+	n := b.arena.alloc()
 	*n = seqState{kind: s.kind, start: s.start, end: s.end + 1, buf: b, hash: hash, pw: pw}
 	return n
 }
@@ -194,13 +247,12 @@ func (s *seqState) pushEnd(v int64, hash, pw uint64) *seqState {
 // which case the live remainder moves to a fresh backing.
 func (s *seqState) popFront(hash, pw uint64) *seqState {
 	if s.start+1 >= compactAt && int(s.start+1) > 2*s.size() {
-		w := s.buf.data[s.start+1 : s.end]
-		nb := &seqBuf{data: append(make([]int64, 0, len(w)+8), w...)}
-		n := s.buf.alloc()
+		nb := s.buf.arena.newBuf(s.buf.data[s.start+1 : s.end])
+		n := s.buf.arena.alloc()
 		*n = seqState{kind: s.kind, start: 0, end: int32(len(nb.data)), buf: nb, hash: hash, pw: pw}
 		return n
 	}
-	n := s.buf.alloc()
+	n := s.buf.arena.alloc()
 	*n = seqState{kind: s.kind, start: s.start + 1, end: s.end, buf: s.buf, hash: hash, pw: pw}
 	return n
 }
@@ -210,11 +262,8 @@ func (s *seqState) popFront(hash, pw uint64) *seqState {
 // are the one transition with no structural sharing.
 func (s *seqState) insertAt(i int, v int64, hash uint64) *seqState {
 	w := s.window()
-	nb := &seqBuf{data: make([]int64, 0, len(w)+8)}
-	nb.data = append(nb.data, w[:i]...)
-	nb.data = append(nb.data, v)
-	nb.data = append(nb.data, w[i:]...)
-	n := s.buf.alloc()
+	nb := s.buf.arena.newBuf(w[:i], []int64{v}, w[i:])
+	n := s.buf.arena.alloc()
 	*n = seqState{kind: s.kind, start: 0, end: int32(len(nb.data)), buf: nb, hash: hash}
 	return n
 }
@@ -226,10 +275,8 @@ func (s *seqState) removeAt(i int, hash uint64) *seqState {
 		return s.popFront(hash, 0)
 	}
 	w := s.window()
-	nb := &seqBuf{data: make([]int64, 0, len(w)+7)}
-	nb.data = append(nb.data, w[:i]...)
-	nb.data = append(nb.data, w[i+1:]...)
-	n := s.buf.alloc()
+	nb := s.buf.arena.newBuf(w[:i], w[i+1:])
+	n := s.buf.arena.alloc()
 	*n = seqState{kind: s.kind, start: 0, end: int32(len(nb.data)), buf: nb, hash: hash}
 	return n
 }
@@ -316,7 +363,7 @@ func (s *seqState) applyStack(op Operation) (State, Response, bool) {
 		if s.popNext == nil {
 			// Popping the end never copies: the shorter window shares the
 			// backing.
-			n := s.buf.alloc()
+			n := s.buf.arena.alloc()
 			*n = seqState{kind: seqStack, start: s.start, end: s.end - 1, buf: s.buf,
 				hash: (s.hash - mixVal(top)) * seqRInv}
 			s.popNext = n

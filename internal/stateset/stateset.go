@@ -58,6 +58,22 @@ func (t *Interner) Len() int { return len(t.states) }
 // At returns the canonical state with the given id.
 func (t *Interner) At(id uint32) spec.State { return t.states[id] }
 
+// Reset empties the intern table for reuse while keeping its capacity: the
+// slot array is zeroed and the per-id columns are truncated with their
+// references cleared (interned states must not be pinned by a pooled table).
+// Ids handed out before the call are invalid afterwards.
+func (t *Interner) Reset() {
+	if len(t.states) == 0 {
+		return // nothing interned since the last Reset: the table is all zero
+	}
+	clear(t.table)
+	clear(t.states)
+	t.states = t.states[:0]
+	t.fps = t.fps[:0]
+	clear(t.keys)
+	t.keys = t.keys[:0]
+}
+
 // Intern returns the dense id of st's abstract state, interning it if it is
 // new; fresh reports whether this call created the id. On the steady-state
 // path (a Fingerprinted state already interned) it performs no allocation.

@@ -215,3 +215,38 @@ func TestMemoSetResetChangesWidth(t *testing.T) {
 		t.Fatal("width change across Reset broken")
 	}
 }
+
+// TestInternerReset checks that a reset table forgets everything (ids are
+// reissued from zero, stale entries never match) while keeping capacity.
+func TestInternerReset(t *testing.T) {
+	in := NewInterner()
+	reg := spec.Register(0)
+	var ids []uint32
+	st := reg.Init()
+	for i := 0; i < 100; i++ {
+		next, _, _ := st.Apply(spec.Operation{Method: spec.MethodWrite, Arg: int64(i), Uniq: uint64(i + 1)})
+		id, fresh := in.Intern(next)
+		if !fresh {
+			t.Fatalf("state %d: expected fresh id", i)
+		}
+		ids = append(ids, id)
+		st = next
+	}
+	if in.Len() != 100 {
+		t.Fatalf("Len=%d, want 100", in.Len())
+	}
+	capBefore := in.TableLen()
+	in.Reset()
+	if in.Len() != 0 {
+		t.Fatalf("Len=%d after Reset, want 0", in.Len())
+	}
+	if in.TableLen() != capBefore {
+		t.Fatalf("Reset changed table capacity %d -> %d", capBefore, in.TableLen())
+	}
+	// Re-interning after a reset issues dense ids from zero again.
+	id, fresh := in.Intern(reg.Init())
+	if !fresh || id != 0 {
+		t.Fatalf("post-reset intern: id=%d fresh=%v, want 0,true", id, fresh)
+	}
+	_ = ids
+}
