@@ -4,15 +4,16 @@ import (
 	"sync"
 
 	"repro/internal/history"
-	"repro/internal/spec"
 	"repro/internal/stateset"
 )
 
 // searchArena is the working memory of one exact search: the intern table and
-// configuration set every walker memoises in, plus the per-walk buffers of
-// FinalStates. The tables are what a backtracking search grows through the
-// resize ladder, so a monitor draws arenas from an arenaPool and hands them
-// back instead of leaving one behind per search for the collector.
+// configuration set the walker memoises in, and the walker's per-search
+// buffers — operation table, candidate-list nodes, id index, linearized-set
+// bitset and an enumeration's seen-final bits. The tables are what a
+// backtracking search grows through the resize ladder, so a monitor draws
+// arenas from an arenaPool and hands them back instead of leaving one behind
+// per search for the collector.
 //
 // Ownership: whoever took the arena from the pool owns it until Put — a
 // segSearch for its whole life (across Feeds and Runs), FinalStates' caller
@@ -25,30 +26,55 @@ type searchArena struct {
 	in   *stateset.Interner
 	memo *stateset.MemoSet
 
-	ops       []history.Op
-	cand      []node // candidate-list backing, head sentinel included
+	ops       []history.Op     // the search's operations, indexed by node.opIdx
+	calls     map[uint64]*node // op ID -> call node, for Feed's returns; made on first use
+	free      []node           // unused tail of the current node chunk
 	bs        bitset
-	stack     []finalFrame
 	seenFinal []bool // indexed by intern id
+
+	// tailLifted holds lifted nodes whose recorded next pointer is nil (they
+	// were at the tail when lifted). Appending a node would otherwise break
+	// their reinsertion: unlift restores a node between its recorded
+	// neighbours, and a nil next would truncate everything appended since. The
+	// first append after such a lift patches them to point at the new node,
+	// which is exactly their successor in event order.
+	tailLifted []*node
 }
 
-// finalFrame is one linearized operation on FinalStates' stack.
-type finalFrame struct {
-	n    *node
-	prev spec.State
-}
+// minNodeChunk is the smallest node chunk an arena allocates; a chunk is
+// sized to the request when that is larger.
+const minNodeChunk = 16
 
 func newSearchArena() *searchArena {
 	return &searchArena{in: stateset.NewInterner(), memo: stateset.NewMemoSet(0)}
 }
 
-// reset empties the arena, keeping capacity and dropping every state
-// reference.
+// nodes returns n zeroed, contiguous candidate-list nodes. A chunk is never
+// reallocated, so the pointers a candidate list holds survive every later
+// call.
+func (a *searchArena) nodes(n int) []node {
+	if len(a.free) < n {
+		a.free = make([]node, max(n, minNodeChunk))
+	}
+	run := a.free[:n:n]
+	a.free = a.free[n:]
+	return run
+}
+
+// reset empties the arena, keeping the tables' capacity and dropping every
+// reference into the last search: its states, and its nodes, which lead to
+// its stack and so to its states too. Nodes are not recycled: an arena often
+// ends up held by an idle monitor's search, which should pin its own
+// segment's nodes, not the largest segment the pool ever served.
 func (a *searchArena) reset() {
 	a.in.Reset()
 	a.memo.Reset(0)
-	clear(a.stack[:cap(a.stack)])
-	a.stack = a.stack[:0]
+	a.ops = a.ops[:0]
+	clear(a.calls)
+	a.free = nil
+	a.seenFinal = a.seenFinal[:0]
+	clear(a.tailLifted[:cap(a.tailLifted)])
+	a.tailLifted = a.tailLifted[:0]
 }
 
 // maxPooledArenas bounds a pool's free list. A segSearch holds its arena for

@@ -23,17 +23,21 @@ func TestArenaPoolReuse(t *testing.T) {
 	a1.in.Intern(spec.Register(0).Init())
 	a1.memo.Reset(1)
 	a1.memo.Insert([]uint64{1}, 0)
-	a1.stack = append(a1.stack, finalFrame{prev: spec.Register(0).Init()})
+	a1.ops = append(a1.ops, history.Op{ID: 1})
+	a1.tailLifted = append(a1.tailLifted, &a1.nodes(3)[0])
 	p.Put(a1)
 	a2 := p.Get()
 	if a2 != a1 {
 		t.Fatal("pool did not recycle the released arena")
 	}
-	if a2.in.Len() != 0 || a2.memo.Len() != 0 || len(a2.stack) != 0 {
-		t.Fatalf("recycled arena not empty: interner=%d memo=%d stack=%d", a2.in.Len(), a2.memo.Len(), len(a2.stack))
+	if a2.in.Len() != 0 || a2.memo.Len() != 0 || len(a2.ops) != 0 || a2.free != nil {
+		t.Fatalf("recycled arena not empty: interner=%d memo=%d ops=%d spare nodes=%d",
+			a2.in.Len(), a2.memo.Len(), len(a2.ops), len(a2.free))
 	}
-	if a2.stack[:1][0].prev != nil {
-		t.Fatal("recycled arena still references a state of the previous search")
+	if a2.tailLifted[:1][0] != nil {
+		// A node leads to its search's stack, and so to the states of a
+		// search that is over: a pooled arena would pin them.
+		t.Fatal("recycled arena still references a node of the previous search")
 	}
 	a2.memo.Reset(1)
 	if !a2.memo.Insert([]uint64{1}, 0) {

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -88,6 +89,110 @@ func randomGarbage(rng *rand.Rand, procs, nops int) history.History {
 		started++
 	}
 	return h
+}
+
+// bruteFinalStates is the exhaustive reference for FinalStates: every order of
+// the operations of the quiescent history h that respects its real-time
+// order, replayed from m's initial state, with the final state of each legal
+// one collected by Key(). An unlinearizable h yields the empty set. Keep h at
+// seven operations or fewer.
+func bruteFinalStates(m spec.Model, h history.History) map[string]bool {
+	ops := h.Ops()
+	finals := map[string]bool{}
+	used := make([]bool, len(ops))
+	var walk func(st spec.State, n int)
+	walk = func(st spec.State, n int) {
+		if n == len(ops) {
+			finals[st.Key()] = true
+			return
+		}
+		for i, o := range ops {
+			if used[i] {
+				continue
+			}
+			ready := true
+			for j, p := range ops {
+				if !used[j] && p.RetIdx < o.InvIdx {
+					ready = false // p returned before o was invoked
+					break
+				}
+			}
+			if !ready {
+				continue
+			}
+			next, res, ok := st.Apply(o.Op)
+			if !ok || res != o.Res {
+				continue
+			}
+			used[i] = true
+			walk(next, n+1)
+			used[i] = false
+		}
+	}
+	walk(m.Init(), 0)
+	return finals
+}
+
+// checkFinalStatesBrute compares FinalStates on the quiescent history h with
+// the exhaustive reference, with limits high enough never to bind.
+func checkFinalStatesBrute(t *testing.T, m spec.Model, h history.History, label string) {
+	t.Helper()
+	want := bruteFinalStates(m, h)
+	got, ok := newSearchArena().FinalStates(m.Init(), h, 1<<20, 1<<10)
+	if !ok {
+		t.Fatalf("%s: FinalStates gave up under limits that cannot bind\n%s", label, h.String())
+	}
+	keys := map[string]bool{}
+	for _, st := range got {
+		if keys[st.Key()] {
+			t.Fatalf("%s: FinalStates returned state %s twice", label, st.Key())
+		}
+		keys[st.Key()] = true
+	}
+	if len(keys) != len(want) {
+		t.Fatalf("%s: FinalStates found %d states %v, brute force %d %v\n%s", label, len(keys), keys, len(want), want, h.String())
+	}
+	for k := range want {
+		if !keys[k] {
+			t.Fatalf("%s: FinalStates missed state %s (brute force %v)\n%s", label, k, want, h.String())
+		}
+	}
+}
+
+// TestFinalStatesAgreesWithBruteForce pins the state set of the enumerate
+// mode, not just the verdicts built on it: over every model, on small
+// linearizable histories and mutated ones (whose set may be empty), the
+// enumeration returns exactly the final states of the legal orders.
+func TestFinalStatesAgreesWithBruteForce(t *testing.T) {
+	for _, m := range fuzzModels() {
+		for seed := int64(0); seed < 40; seed++ {
+			base := trace.RandomLinearizable(m, seed, 3, 7).Complete()
+			for ci, h := range []history.History{
+				base,
+				trace.Mutate(base, seed*7+1),
+				trace.Mutate(trace.Mutate(base, seed*11+2), seed*13+3),
+			} {
+				checkFinalStatesBrute(t, m, h, fmt.Sprintf("%s seed %d case %d", m.Name(), seed, ci))
+			}
+		}
+	}
+}
+
+// FuzzFinalStatesBrute lets the native fuzzer pick the model, concurrency,
+// size and mutation of the history TestFinalStatesAgreesWithBruteForce checks.
+func FuzzFinalStatesBrute(f *testing.F) {
+	f.Add(uint8(0), uint8(3), uint8(7), int64(1), false)
+	f.Add(uint8(2), uint8(2), uint8(5), int64(9), true)
+	f.Add(uint8(7), uint8(4), uint8(6), int64(3), true)
+	f.Fuzz(func(t *testing.T, which, procs, size uint8, seed int64, mutate bool) {
+		models := fuzzModels()
+		m := models[int(which)%len(models)]
+		h := trace.RandomLinearizable(m, seed, 2+int(procs)%3, 1+int(size)%7).Complete()
+		if mutate {
+			h = trace.Mutate(h, seed+1)
+		}
+		checkFinalStatesBrute(t, m, h, "fuzz")
+	})
 }
 
 func TestBruteForceBasics(t *testing.T) {

@@ -41,8 +41,13 @@ type Config struct {
 	// still exactly one driving goroutine at a time. The monitor itself
 	// ignores the field — an Incremental built with Pipeline set is the
 	// sequential monitor; only drivers that document pipelining act on it.
-	// Verdicts, reports and stats stay bit-identical to the sequential
-	// driver (modulo the IncStats PipelineRounds/PipelineStalls counters).
+	// What holds against sequential driving on any schedule: verdicts,
+	// reports and IncStats.Events, and on un-refuted streams Compactions,
+	// GCRuns, DiscardedEvents, RetainedEvents and FrontierStates. The other
+	// effort counters (Appends, SegChecks, SearchRebuilds, SegExplored,
+	// StickyNo, …) count Appends, so they differ wherever the grouping of
+	// input into Appends is timing-dependent, as linmond's absorb rounds
+	// are.
 	Pipeline bool `json:"pipeline,omitempty"`
 }
 

@@ -341,11 +341,10 @@ func (inc *Incremental) Append(delta history.History) Verdict {
 }
 
 // checkSegment decides whether the events after the cut linearize from some
-// frontier state, resuming each state's persistent search and re-deciding
-// refutations with a scratch search so that a false answer is exact. With
-// WithParallelism and at least two live frontier states the per-state
-// pipelines fan out across the worker pool (checkSegmentParallel) with
-// identical verdicts and stats.
+// frontier state, running each live state's pipeline (runState) in frontier
+// order up to the first witness. With WithParallelism and at least two live
+// frontier states the pipelines fan out across the worker pool
+// (checkSegmentParallel) and commit the same outcomes.
 func (inc *Incremental) checkSegment() bool {
 	seg := inc.h[inc.cutIdx:]
 	inc.stats.SegChecks++
@@ -370,40 +369,8 @@ func (inc *Incremental) checkSegment() bool {
 		if inc.dead != nil && inc.dead[i] {
 			continue
 		}
-		se := inc.searches[i]
-		if se == nil {
-			se = rebuildSegSearch(inc.frontier[i], seg, inc.pool)
-			inc.searches[i] = se
-			inc.stats.SearchRebuilds++
-		} else {
-			se.Feed(seg[se.fed:])
-			inc.stats.SearchResumes++
-		}
-		before := se.explored
-		ok := se.Run()
-		inc.stats.SegExplored += se.explored - before
-		if ok {
-			inc.stats.SegYes++
+		if inc.commit(i, inc.runState(i, seg, nil, 0)) {
 			return true
-		}
-		if !se.Exhausted() {
-			// Optimistic resume refuted; only a fresh search is complete.
-			se.release(inc.pool)
-			se = rebuildSegSearch(inc.frontier[i], seg, inc.pool)
-			inc.searches[i] = se
-			inc.stats.SearchRebuilds++
-			before = se.explored
-			ok = se.Run()
-			inc.stats.SegExplored += se.explored - before
-			if ok {
-				inc.stats.SegYes++
-				return true
-			}
-		}
-		if inc.dead != nil {
-			// Exact refutation from this state; prefix-closure keeps it
-			// refuted under every extension of the segment.
-			inc.dead[i] = true
 		}
 	}
 	return false

@@ -10,9 +10,10 @@ import (
 	"repro/internal/trace"
 )
 
-// linearizableStringMemo is the pre-interning checker, kept verbatim as the
+// linearizableStringMemo is the pre-interning checker, kept as the
 // equivalence reference: the Wing–Gong search with a map[string] memo keyed
-// by the serialised linearized-set bitset concatenated with State.Key(). The
+// by the serialised linearized-set bitset concatenated with State.Key(),
+// memoising from the first backtrack as the package's search does. The
 // interned search must agree with it on Ok and on Explored — interning is
 // exact, so the two searches must prune identically and walk the same
 // configurations in the same order.
@@ -68,8 +69,9 @@ func linearizableStringMemo(m spec.Model, h history.History) Result {
 		return dst
 	}
 	state := m.Init()
-	bs := newBitset(len(ops))
+	bs := make(bitset, (len(ops)+63)/64)
 	memo := make(map[string]struct{})
+	memoOn := false // the checker's policy: memoise from the first backtrack
 	var stack []frame
 	explored := 0
 	keyBuf := make([]byte, 0, 8*len(bs)+64)
@@ -99,8 +101,10 @@ func linearizableStringMemo(m spec.Model, h history.History) Result {
 				keyBuf = appendKey(keyBuf[:0], bs)
 				keyBuf = append(keyBuf, next.Key()...)
 				key := string(keyBuf)
-				if _, seen := memo[key]; !seen {
-					memo[key] = struct{}{}
+				if _, seen := memo[key]; !seen || !memoOn {
+					if memoOn {
+						memo[key] = struct{}{}
+					}
 					explored++
 					stack = append(stack, frame{n: entry, prev: state, res: res})
 					entry.lift()
@@ -119,6 +123,7 @@ func linearizableStringMemo(m spec.Model, h history.History) Result {
 		if len(stack) == 0 {
 			return Result{Ok: false, Explored: explored}
 		}
+		memoOn = true
 		f := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		f.n.unlift()

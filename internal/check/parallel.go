@@ -120,7 +120,7 @@ type WorkerStat struct {
 	Cancelled int // searches aborted by first-witness cancellation
 }
 
-// segOutcome is one worker's result for one frontier state.
+// segOutcome is runState's result for one frontier state.
 type segOutcome struct {
 	se       *segSearch
 	yes      bool
@@ -138,7 +138,17 @@ func (inc *Incremental) checkSegmentParallel(seg history.History, live []int) bo
 	outs := make([]segOutcome, len(live))
 	ctl := newRaceCtl()
 	runParallel(len(live), inc.workers, func(slot, p int) {
-		outs[p] = inc.runState(live[p], seg, ctl, int32(p), slot)
+		o := inc.runState(live[p], seg, ctl, int32(p))
+		if o.yes {
+			ctl.accept(int32(p))
+		}
+		ws := &inc.wstats[slot]
+		ws.Tasks++
+		ws.Explored += o.explored
+		if o.aborted {
+			ws.Cancelled++
+		}
+		outs[p] = o
 	})
 
 	// Join: the first accepting position bounds what the sequential loop
@@ -155,22 +165,12 @@ func (inc *Incremental) checkSegmentParallel(seg history.History, live []int) bo
 		limit = winner + 1
 	}
 	for p := 0; p < limit; p++ {
-		o := &outs[p]
-		if o.aborted {
+		if outs[p].aborted {
 			// beaten() compares strictly, so a worker at or before the first
 			// accepting position can never have been cancelled.
 			panic("check: cancelled search before the first witness")
 		}
-		i := live[p]
-		inc.searches[i] = o.se
-		inc.stats.SearchResumes += o.resumes
-		inc.stats.SearchRebuilds += o.rebuilds
-		inc.stats.SegExplored += o.explored
-		if o.yes {
-			inc.stats.SegYes++
-		} else if inc.dead != nil {
-			inc.dead[i] = true
-		}
+		inc.commit(live[p], outs[p])
 	}
 	// Speculation past the winner: the sequential engine never ran these
 	// states (and provably had no persistent search for them — a state gets a
@@ -185,19 +185,19 @@ func (inc *Incremental) checkSegmentParallel(seg history.History, live []int) bo
 	return winner >= 0
 }
 
-// runState is the per-state pipeline of checkSegment — optimistic resume,
-// scratch rebuild on a resumed refutation — run by one worker. It mirrors the
-// sequential loop body exactly so committed outcomes merge into identical
-// stats. Only the first live position can hold a persistent search (see the
-// join comment), and position 0 is never beaten, so the resume path cannot
-// abort and a cancelled outcome is always a fresh speculative search.
-func (inc *Incremental) runState(i int, seg history.History, ctl *raceCtl, pos int32, slot int) segOutcome {
+// runState is the per-state pipeline of a segment check — optimistic resume,
+// scratch rebuild on a resumed refutation — for frontier state i. The
+// sequential loop calls it with ctl == nil; a worker of a parallel round
+// passes the round's race control and its position, and roots any rebuilt
+// search at a detached copy of the state (see the file comment). Only the
+// first live position can hold a persistent search (see the join comment),
+// and position 0 is never beaten, so the resume path cannot abort and a
+// cancelled outcome is always a fresh speculative search.
+func (inc *Incremental) runState(i int, seg history.History, ctl *raceCtl, pos int32) segOutcome {
 	var o segOutcome
-	ws := &inc.wstats[slot]
-	ws.Tasks++
 	se := inc.searches[i]
 	if se == nil {
-		se = rebuildSegSearch(spec.Detach(inc.frontier[i]), seg, inc.pool)
+		se = inc.rebuild(i, seg, ctl)
 		o.rebuilds++
 	} else {
 		se.Feed(seg[se.fed:])
@@ -209,21 +209,49 @@ func (inc *Incremental) runState(i int, seg history.History, ctl *raceCtl, pos i
 	if !ok && !se.aborted && !se.Exhausted() {
 		// Optimistic resume refuted; only a fresh search is complete.
 		se.release(inc.pool)
-		se = rebuildSegSearch(spec.Detach(inc.frontier[i]), seg, inc.pool)
+		se = inc.rebuild(i, seg, ctl)
 		o.rebuilds++
 		before = se.explored
 		ok = se.run(ctl, pos)
 		o.explored += se.explored - before
 	}
 	o.se, o.yes, o.aborted = se, ok, se.aborted
-	ws.Explored += o.explored
-	if o.aborted {
-		ws.Cancelled++
-	}
-	if ok {
-		ctl.accept(pos)
-	}
 	return o
+}
+
+// rebuild builds a fresh search over seg from frontier state i on an arena
+// drawn from the pool, so that its first run is an exact decision. On a
+// parallel round's worker (ctl != nil) it starts from a detached copy of the
+// state.
+func (inc *Incremental) rebuild(i int, seg history.History, ctl *raceCtl) *segSearch {
+	root := inc.frontier[i]
+	if ctl != nil {
+		root = spec.Detach(root)
+	}
+	se := newSegSearch(root, inc.pool.Get())
+	se.Feed(seg)
+	return se
+}
+
+// commit folds frontier state i's outcome into the monitor — its search, its
+// counters and, under retention, its refutation — and reports whether it
+// accepted. Sequential and parallel segment checks commit through it alike,
+// in frontier order up to the first witness.
+func (inc *Incremental) commit(i int, o segOutcome) bool {
+	inc.searches[i] = o.se
+	inc.stats.SearchResumes += o.resumes
+	inc.stats.SearchRebuilds += o.rebuilds
+	inc.stats.SegExplored += o.explored
+	if o.yes {
+		inc.stats.SegYes++
+		return true
+	}
+	if inc.dead != nil {
+		// Exact refutation from this state; prefix-closure keeps it
+		// refuted under every extension of the segment.
+		inc.dead[i] = true
+	}
+	return false
 }
 
 // Shards drives a fixed set of independent Incremental monitors — one per

@@ -1,21 +1,28 @@
 package check
 
 import (
+	"math"
+
 	"repro/internal/history"
 	"repro/internal/spec"
-	"repro/internal/stateset"
 )
 
-// segSearch is a Wing–Gong linearizability search whose state persists across
-// history extensions. Where Linearizable rebuilds its candidate list, stack
-// and memo table from scratch on every call, a segSearch keeps them between
-// calls: Feed appends the new events to the candidate list (validating the
-// current witness against newly arrived responses) and Run resumes the search
-// from the configuration the previous success left behind. On a stream whose
-// suffix keeps linearizing after the existing witness — the common case for a
-// correct implementation — each resume costs O(delta) instead of O(segment),
-// which is what lets bursts between quiescent cuts stay cheap (ROADMAP: stop
-// re-running the search from the frontier on every append).
+// segSearch is the package's one Wing–Gong linearizability search: Lowe's
+// candidate list, lifted and unlifted as operations are linearized and
+// undone, memoised on (linearized set, state). It has three uses:
+//
+//   - Linearizable: one fresh run over a whole history, stopping at the
+//     first witness;
+//   - FinalStates: one fresh run over a quiescent piece in enumerate mode,
+//     where a complete linearization records its final state and backtracks
+//     instead of ending the run;
+//   - Incremental's persistent segment search, whose state survives history
+//     extensions: Feed appends the new events to the candidate list
+//     (validating the current witness against newly arrived responses) and
+//     Run resumes from the configuration the previous success left behind.
+//     On a stream whose suffix keeps linearizing after the existing witness —
+//     the common case for a correct implementation — each resume costs
+//     O(delta) instead of O(segment).
 //
 // A resumed Run that answers true is sound: the witness on the stack was
 // revalidated event by event, exactly as a fresh search would have. A resumed
@@ -26,50 +33,33 @@ import (
 // which case false is exact). Incremental does exactly that: optimistic
 // resume, scratch rebuild on refutation.
 //
-// NOTE: Run, Linearizable (wg.go) and FinalStates (frontier.go) share the
-// candidate-list/lift/memo discipline; a fix to one usually applies to the
-// others.
+// What the search grows per event lives in its searchArena; the search itself
+// holds its position — the stack, which is the witness, the current state and
+// the counters. A search built by load is never fed: Feed matches returns
+// through the call index that only Feed fills.
 type segSearch struct {
-	init spec.State
+	ar *searchArena // owned from construction until release
 
-	ops   []segOp
-	byID  map[uint64]int // op ID -> index into ops
-	head  *node
+	head  node // sentinel: the candidate list starts at head.next
 	tail  *node
-	calls map[uint64]*node // op ID -> call node
+	state spec.State
+	stack []segFrame
+	bs    bitset // linearized operations; storage is ar.bs
 
-	state             spec.State
-	stack             []segFrame
-	bs                bitset
-	in                *stateset.Interner // states interned over the search's lifetime
-	memo              *stateset.MemoSet  // (bitset, state id) configurations, reset per Feed
-	memoOn            bool               // memoise only after the first backtrack (see Run)
+	memoOn            bool // memoise only after the first backtrack (see run)
 	completeRemaining int
 	explored          int
 
-	// tailLifted holds lifted nodes whose recorded next pointer is nil (they
-	// were at the tail when lifted). Appending a node would otherwise break
-	// their reinsertion: unlift restores a node between its recorded
-	// neighbours, and a nil next would truncate everything appended since. The
-	// first append after such a lift patches them to point at the new node,
-	// which is exactly their successor in event order.
-	tailLifted []*node
+	fed     int  // events consumed from the segment
+	fresh   bool // the last Run started from an empty stack (exact on false)
+	aborted bool // the last run stopped without an answer (see run)
 
-	fed   int  // events consumed from the segment
-	fresh bool // the last Run started from an empty stack (exact on false)
-
-	ar      *searchArena // backs in/memo; owned from construction until release
-	aborted bool         // the last run was cancelled by the parallel race control
-}
-
-// segOp mirrors history.Op for the search: the mutable completion status is
-// what Feed updates when a pending operation's response arrives.
-type segOp struct {
-	proc     int
-	id       uint64
-	op       spec.Operation
-	res      spec.Response
-	complete bool
+	// Enumerate mode (FinalStates): limit caps explored and maxFinals the
+	// distinct final states; first-witness mode has no limit.
+	enumerate bool
+	limit     int
+	maxFinals int
+	finals    []spec.State
 }
 
 // segFrame is one linearized operation on the search stack.
@@ -80,30 +70,65 @@ type segFrame struct {
 }
 
 // newSegSearch returns an empty search over a segment starting at init,
-// memoising in ar, which the search owns until release.
+// working in ar, which the search owns until release.
 func newSegSearch(init spec.State, ar *searchArena) *segSearch {
-	head := &node{}
-	return &segSearch{
-		init:  init,
-		byID:  make(map[uint64]int),
-		head:  head,
-		tail:  head,
-		calls: make(map[uint64]*node),
-		state: init,
-		in:    ar.in,
-		memo:  ar.memo,
-		fresh: true,
-		ar:    ar,
-	}
+	s := &segSearch{ar: ar, state: init, bs: ar.bs[:0], fresh: true, limit: math.MaxInt}
+	s.tail = &s.head
+	return s
 }
 
-// release returns the search's arena to pool. The search must not Run or
-// Feed afterwards; its witness stack stays readable.
+// release returns the search's arena to pool. The search must not be used
+// afterwards: its operations and candidate list are the arena's.
 func (s *segSearch) release(pool *arenaPool) {
 	if s.ar != nil {
 		pool.Put(s.ar)
-		s.ar, s.in, s.memo = nil, nil, nil
+		s.ar = nil
 	}
+}
+
+// load fills a fresh search with the whole history h. Its operations are
+// history.OpsInto's, so unvalidated input reads as Ops reads it: events of an
+// operation Ops could not match are left out of the candidate list.
+func (s *segSearch) load(h history.History) {
+	ar := s.ar
+	ar.ops = h.OpsInto(ar.ops)
+	nodes := ar.nodes(len(h)) // by event index
+	for i := range ar.ops {
+		o := &ar.ops[i]
+		c := &nodes[o.InvIdx]
+		c.opIdx, c.isCall, c.linPos = i, true, -1
+		if o.Complete {
+			r := &nodes[o.RetIdx]
+			r.opIdx, r.match, c.match = i, c, r
+			s.completeRemaining++
+		}
+	}
+	for i := range nodes {
+		if n := &nodes[i]; n.isCall || n.match != nil {
+			s.appendNode(n)
+		}
+	}
+	s.stack = make([]segFrame, 0, len(ar.ops))
+	s.ensureBits(len(ar.ops))
+	ar.memo.Reset(len(s.bs))
+}
+
+// ensureBits grows the linearized-set bitset to cover n operations, keeping
+// its bits. Grown storage becomes the arena's, for its next search.
+func (s *segSearch) ensureBits(n int) {
+	words := (n + 63) / 64
+	if words <= len(s.bs) {
+		return
+	}
+	if words <= cap(s.bs) {
+		old := len(s.bs)
+		s.bs = s.bs[:words]
+		clear(s.bs[old:])
+		return
+	}
+	grown := make(bitset, words, 2*words)
+	copy(grown, s.bs)
+	s.bs, s.ar.bs = grown, grown
 }
 
 // appendNode links x at the end of the candidate list, patching lifted nodes
@@ -112,19 +137,19 @@ func (s *segSearch) release(pool *arenaPool) {
 // unlifted back into the list since they were registered are skipped — their
 // pointers are live again and must not be overwritten.
 func (s *segSearch) appendNode(x *node) {
-	for _, n := range s.tailLifted {
+	for _, n := range s.ar.tailLifted {
 		if n.lifted && n.next == nil {
 			n.next = x
 		}
 	}
-	s.tailLifted = s.tailLifted[:0]
+	s.ar.tailLifted = s.ar.tailLifted[:0]
 	x.prev = s.tail
 	s.tail.next = x
 	s.tail = x
 }
 
 // lift removes n (and its match) from the candidate list, keeping the tail
-// pointer and the tailLifted patch set consistent.
+// pointer and the tail-lifted patch set consistent.
 func (s *segSearch) lift(n *node) {
 	if n.match == s.tail {
 		s.tail = n.match.prev
@@ -137,11 +162,11 @@ func (s *segSearch) lift(n *node) {
 	if n.match != nil {
 		n.match.lifted = true
 		if n.match.next == nil {
-			s.tailLifted = append(s.tailLifted, n.match)
+			s.ar.tailLifted = append(s.ar.tailLifted, n.match)
 		}
 	}
 	if n.next == nil {
-		s.tailLifted = append(s.tailLifted, n)
+		s.ar.tailLifted = append(s.ar.tailLifted, n)
 	}
 }
 
@@ -173,7 +198,7 @@ func (s *segSearch) pop() segFrame {
 	s.stack = s.stack[:len(s.stack)-1]
 	f.n.linPos = -1
 	s.unlift(f.n)
-	if s.ops[f.n.opIdx].complete {
+	if s.ar.ops[f.n.opIdx].Complete {
 		s.completeRemaining++
 	}
 	s.bs.clear(f.n.opIdx)
@@ -192,29 +217,24 @@ func (s *segSearch) Feed(delta history.History) {
 	if len(delta) == 0 {
 		return
 	}
+	ar := s.ar
+	if ar.calls == nil {
+		ar.calls = make(map[uint64]*node)
+	}
 	s.memoOn = false
-	s.fed += len(delta)
-	defer func() { s.memo.Reset(len(s.bs)) }() // after the loop: the bitset may grow below
-	for _, e := range delta {
+	nodes := ar.nodes(len(delta))
+	for i, e := range delta {
+		n := &nodes[i]
 		switch e.Kind {
 		case history.Invoke:
-			idx := len(s.ops)
-			s.ops = append(s.ops, segOp{proc: e.Proc, id: e.ID, op: e.Op})
-			s.byID[e.ID] = idx
-			if idx >= len(s.bs)*64 {
-				grown := newBitset(2*idx + 64)
-				copy(grown, s.bs)
-				s.bs = grown
-			}
-			c := &node{opIdx: idx, isCall: true, linPos: -1}
-			s.calls[e.ID] = c
-			s.appendNode(c)
+			n.opIdx, n.isCall, n.linPos = len(ar.ops), true, -1
+			ar.ops = append(ar.ops, history.Op{Proc: e.Proc, ID: e.ID, Op: e.Op, InvIdx: s.fed + i, RetIdx: -1})
+			ar.calls[e.ID] = n
+			s.appendNode(n)
 		case history.Return:
-			idx := s.byID[e.ID]
-			o := &s.ops[idx]
-			o.res = e.Res
-			o.complete = true
-			c := s.calls[e.ID]
+			c := ar.calls[e.ID]
+			o := &ar.ops[c.opIdx]
+			o.Res, o.Complete, o.RetIdx = e.Res, true, s.fed+i
 			if li := c.linPos; li >= 0 {
 				// The witness linearized this op while it was pending. Pop
 				// back to that choice so the return node can be appended at
@@ -229,11 +249,13 @@ func (s *segSearch) Feed(delta history.History) {
 			} else {
 				s.completeRemaining++
 			}
-			ret := &node{opIdx: idx, match: c}
-			c.match = ret
-			s.appendNode(ret)
+			n.opIdx, n.match, c.match = c.opIdx, c, n
+			s.appendNode(n)
 		}
 	}
+	s.fed += len(delta)
+	s.ensureBits(len(ar.ops))
+	ar.memo.Reset(len(s.bs))
 }
 
 // Run resumes the search and reports whether a linearization of the fed
@@ -247,17 +269,24 @@ func (s *segSearch) Run() bool { return s.run(nil, 0) }
 // cancelled speculative refutation stops within microseconds.
 const cancelStride = 1024
 
-// run is Run with first-witness cancellation: when ctl records a witness at a
-// frontier position before pos, this search's outcome can no longer matter
-// (the parallel join commits outcomes only up to the first accepting
-// position), so it aborts. An aborted run answers false with s.aborted set;
-// the answer carries no information and the caller must discard the search.
+// run is the search loop. In first-witness mode it answers true at the first
+// linearization of every complete operation. In enumerate mode it records
+// that linearization's final state and backtracks, so it always answers
+// false, having collected finals.
+//
+// A run can also stop without an answer, answering false with s.aborted set;
+// the caller must then discard the search. That happens when ctl records a
+// witness at a frontier position before pos — this search's outcome can no
+// longer matter, since the parallel join commits outcomes only up to the
+// first accepting position — and, in enumerate mode, when explored passes
+// limit or the finals pass maxFinals.
 func (s *segSearch) run(ctl *raceCtl, pos int32) bool {
 	// Starting from an empty stack with a memo free of entries recorded
 	// against a smaller event set (Feed clears it), the DFS explores the full
 	// tree, so a false answer is an exact refutation.
 	s.fresh = len(s.stack) == 0
 	s.aborted = false
+	ops := s.ar.ops
 	steps := 0
 	entry := s.head.next
 	for {
@@ -271,12 +300,19 @@ func (s *segSearch) run(ctl *raceCtl, pos int32) bool {
 			}
 		}
 		if s.completeRemaining == 0 {
-			return true
+			if !s.enumerate {
+				return true
+			}
+			if !s.recordFinal() {
+				s.aborted = true
+				return false
+			}
+			entry = nil // backtrack: keep enumerating
 		}
 		if entry != nil && entry.isCall {
-			o := &s.ops[entry.opIdx]
-			next, res, ok := s.state.Apply(o.op)
-			if ok && o.complete && res != o.res {
+			o := &ops[entry.opIdx]
+			next, res, ok := s.state.Apply(o.Op)
+			if ok && o.Complete && res != o.Res {
 				ok = false
 			}
 			if ok {
@@ -288,28 +324,26 @@ func (s *segSearch) run(ctl *raceCtl, pos int32) bool {
 				// first backtrack. Sound: a hit still means the exact
 				// configuration's subtree was explored under this event set
 				// (interning is exact; see internal/stateset).
-				prune := false
+				s.bs.set(entry.opIdx)
 				if s.memoOn {
-					s.bs.set(entry.opIdx)
-					id, _ := s.in.Intern(next)
-					if !s.memo.Insert(s.bs, id) {
-						prune = true
+					if id, _ := s.ar.in.Intern(next); !s.ar.memo.Insert(s.bs, id) {
 						s.bs.clear(entry.opIdx)
+						entry = entry.next
+						continue
 					}
-				} else {
-					s.bs.set(entry.opIdx)
 				}
-				if !prune {
-					s.explored++
-					s.push(segFrame{n: entry, prev: s.state, res: res})
-					s.lift(entry)
-					if o.complete {
-						s.completeRemaining--
-					}
-					s.state = next
-					entry = s.head.next
-					continue
+				if s.explored++; s.explored > s.limit {
+					s.aborted = true
+					return false
 				}
+				s.push(segFrame{n: entry, prev: s.state, res: res})
+				s.lift(entry)
+				if o.Complete {
+					s.completeRemaining--
+				}
+				s.state = next
+				entry = s.head.next
+				continue
 			}
 			entry = entry.next
 			continue
@@ -318,9 +352,25 @@ func (s *segSearch) run(ctl *raceCtl, pos int32) bool {
 			return false
 		}
 		s.memoOn = true
-		f := s.pop()
-		entry = f.n.next
+		entry = s.pop().n.next
 	}
+}
+
+// recordFinal adds the current state to the enumeration's finals unless an
+// earlier linearization reached it, reporting false once more than maxFinals
+// distinct states have been found.
+func (s *segSearch) recordFinal() bool {
+	ar := s.ar
+	id, _ := ar.in.Intern(s.state)
+	for int(id) >= len(ar.seenFinal) {
+		ar.seenFinal = append(ar.seenFinal, false)
+	}
+	if ar.seenFinal[id] {
+		return true
+	}
+	ar.seenFinal[id] = true
+	s.finals = append(s.finals, s.state)
+	return len(s.finals) <= s.maxFinals
 }
 
 // Exhausted reports whether the last Run explored the full search tree, i.e.
@@ -328,20 +378,12 @@ func (s *segSearch) run(ctl *raceCtl, pos int32) bool {
 func (s *segSearch) Exhausted() bool { return s.fresh }
 
 // Witness returns the current linearization, valid after a Run that returned
-// true.
+// true and before release.
 func (s *segSearch) Witness() []LinOp {
 	lin := make([]LinOp, len(s.stack))
 	for i, f := range s.stack {
-		o := s.ops[f.n.opIdx]
-		lin[i] = LinOp{Proc: o.proc, ID: o.id, Op: o.op, Res: f.res, Pending: !o.complete}
+		o := s.ar.ops[f.n.opIdx]
+		lin[i] = LinOp{Proc: o.Proc, ID: o.ID, Op: o.Op, Res: f.res, Pending: !o.Complete}
 	}
 	return lin
-}
-
-// rebuildSegSearch builds a fresh search over the whole segment on an arena
-// drawn from pool, so that its first Run is an exact decision.
-func rebuildSegSearch(init spec.State, seg history.History, pool *arenaPool) *segSearch {
-	s := newSegSearch(init, pool.Get())
-	s.Feed(seg)
-	return s
 }

@@ -7,9 +7,10 @@
 package check
 
 import (
+	"sync"
+
 	"repro/internal/history"
 	"repro/internal/spec"
-	"repro/internal/stateset"
 )
 
 // LinOp is one element of a linearization witness.
@@ -31,57 +32,23 @@ type Result struct {
 	// operations that were not linearized are omitted (their invocations are
 	// removed, as comp(E') prescribes).
 	Linearization []LinOp
-	// States explored, for diagnostics and benchmarks.
+	// Configurations explored, for diagnostics and benchmarks. Memoisation
+	// starts at the first backtrack: a history linearized greedily counts
+	// one configuration per linearized operation, and a configuration
+	// explored before the first backtrack is not remembered, so it may be
+	// explored and counted again after it.
 	Explored int
 }
 
-// node is an entry of the doubly linked candidate list: one node per event.
+// node is an entry of segSearch's doubly linked candidate list: one node per
+// event, allocated from the search's arena.
 type node struct {
 	prev, next *node
 	opIdx      int
 	isCall     bool
-	used       bool  // backing-array construction: slot belongs to a known op
 	match      *node // call -> its return node (nil if pending); ret -> call
-	linPos     int   // segSearch: stack index that linearized this call; -1 if none
-	lifted     bool  // segSearch: node currently removed from the candidate list
-}
-
-// buildCandidates links a candidate list over h's events out of one backing
-// array — buf's storage when it is large enough, else one allocation for the
-// lot instead of one per event — using the Inv/Ret indexes Ops computed
-// instead of re-mapping event ids. The head sentinel is the array's last
-// element; the array is returned for reuse. Events of unknown operations
-// (ill-formed input, which Ops tolerates) are skipped, as the map-based
-// construction effectively did.
-func buildCandidates(buf []node, h history.History, ops []history.Op) (head *node, backing []node) {
-	if cap(buf) <= len(h) {
-		backing = make([]node, len(h)+1)
-	} else {
-		backing = buf[:len(h)+1]
-		clear(backing)
-	}
-	for i := range ops {
-		o := &ops[i]
-		c := &backing[o.InvIdx]
-		c.opIdx, c.isCall, c.used = i, true, true
-		if o.Complete {
-			r := &backing[o.RetIdx]
-			r.opIdx, r.match, r.used = i, c, true
-			c.match = r
-		}
-	}
-	head = &backing[len(h)]
-	prev := head
-	for i := range backing[:len(h)] {
-		n := &backing[i]
-		if !n.used {
-			continue
-		}
-		n.prev = prev
-		prev.next = n
-		prev = n
-	}
-	return head, backing
+	linPos     int   // call: stack index that linearized it; -1 if none
+	lifted     bool  // node currently removed from the candidate list
 }
 
 func (n *node) lift() {
@@ -113,105 +80,32 @@ func (n *node) unlift() {
 
 type bitset []uint64
 
-func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
-
-// sized returns an all-zero bitset for n bits, in b's storage when it fits.
-func (b bitset) sized(n int) bitset {
-	words := (n + 63) / 64
-	if cap(b) < words {
-		return make(bitset, words)
-	}
-	b = b[:words]
-	clear(b)
-	return b
-}
-
 func (b bitset) set(i int)   { b[i/64] |= 1 << (i % 64) }
 func (b bitset) clear(i int) { b[i/64] &^= 1 << (i % 64) }
 
+// oneShotArenas recycles Linearizable's arenas. A one-shot check has no
+// monitor to own an arenaPool, and a sync.Pool lets the collector reclaim the
+// arenas of a burst of checks once it is over.
+var oneShotArenas = sync.Pool{New: func() any { return newSearchArena() }}
+
 // Linearizable decides whether h is linearizable with respect to m
-// (Definition 4.2). h must be well-formed; callers can verify with Validate.
+// (Definition 4.2): one fresh first-witness run of the package's search
+// (segSearch). h must be well-formed; callers can verify with Validate.
 func Linearizable(m spec.Model, h history.History) Result {
-	ops := h.Ops()
-	if len(ops) == 0 {
+	ar := oneShotArenas.Get().(*searchArena)
+	defer func() {
+		ar.reset()
+		oneShotArenas.Put(ar)
+	}()
+	s := newSegSearch(m.Init(), ar)
+	s.load(h)
+	if len(s.ar.ops) == 0 {
 		return Result{Ok: true}
 	}
-
-	// Build the candidate list in event order.
-	head, _ := buildCandidates(nil, h, ops)
-
-	completeRemaining := 0
-	for _, o := range ops {
-		if o.Complete {
-			completeRemaining++
-		}
+	if !s.Run() {
+		return Result{Ok: false, Explored: s.explored}
 	}
-
-	type frame struct {
-		n    *node
-		prev spec.State
-		res  spec.Response
-	}
-	state := m.Init()
-	bs := newBitset(len(ops))
-	in := stateset.NewInternerHint(len(ops))
-	memo := stateset.NewMemoSetHint(len(bs), 2*len(ops))
-	stack := make([]frame, 0, len(ops))
-	explored := 0
-
-	success := func() Result {
-		lin := make([]LinOp, len(stack))
-		for i, f := range stack {
-			o := ops[f.n.opIdx]
-			lin[i] = LinOp{Proc: o.Proc, ID: o.ID, Op: o.Op, Res: f.res, Pending: !o.Complete}
-		}
-		return Result{Ok: true, Linearization: lin, Explored: explored}
-	}
-
-	entry := head.next
-	for {
-		if completeRemaining == 0 {
-			return success()
-		}
-		if entry != nil && entry.isCall {
-			o := ops[entry.opIdx]
-			next, res, ok := state.Apply(o.Op)
-			if ok && o.Complete && res != o.Res {
-				ok = false
-			}
-			if ok {
-				bs.set(entry.opIdx)
-				id, _ := in.Intern(next)
-				if memo.Insert(bs, id) {
-					explored++
-					stack = append(stack, frame{n: entry, prev: state, res: res})
-					entry.lift()
-					if o.Complete {
-						completeRemaining--
-					}
-					state = next
-					entry = head.next
-					continue
-				}
-				bs.clear(entry.opIdx)
-			}
-			entry = entry.next
-			continue
-		}
-		// entry is nil or a return node: no candidate worked, backtrack.
-		if len(stack) == 0 {
-			return Result{Ok: false, Explored: explored}
-		}
-		f := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		f.n.unlift()
-		if ops[f.n.opIdx].Complete {
-			completeRemaining++
-		}
-		bs.clear(f.n.opIdx)
-		state = f.prev
-		entry = f.n.next
-	}
+	return Result{Ok: true, Linearization: s.Witness(), Explored: s.explored}
 }
 
 // IsLinearizable is a convenience wrapper returning only the verdict.

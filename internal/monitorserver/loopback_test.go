@@ -8,8 +8,10 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/check"
+	"repro/internal/ckpt"
 	"repro/internal/history"
 	"repro/internal/monitorapi"
 	"repro/internal/monitorclient"
@@ -313,47 +315,61 @@ func TestReopenResume(t *testing.T) {
 	}
 }
 
+// readDeadline bounds every raw-connection read in these tests: a frame the
+// server never sends fails the test instead of hanging it.
+const readDeadline = 30 * time.Second
+
 // TestOverload: a raw client that ignores the credit window gets an overload
 // frame and a closed connection — the server's answer to a protocol-breaking
-// flooder (well-behaved clients block in monitorclient instead).
+// flooder (well-behaved clients block in monitorclient instead). The overrun
+// is provoked deterministically rather than by out-running the server: the
+// object opens on a store whose reads block until the client has seen the
+// overload frame, so the dispatcher — stuck restoring in the open — cannot
+// ack batch 1 before the reader counts batch 2.
 func TestOverload(t *testing.T) {
-	srv := startServer(t, monitorserver.Options{Window: 1})
+	gate := make(chan struct{})
+	var release sync.Once
+	ffs := ckpt.NewFaultFS(ckpt.NewMemFS()).Arm(func(op ckpt.Op, _ string) error {
+		if op == ckpt.OpReadDir || op == ckpt.OpReadFile {
+			<-gate
+		}
+		return nil
+	})
+	store, err := ckpt.NewStore(ffs, "state")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := startServer(t, monitorserver.Options{Window: 1, Store: store})
+	t.Cleanup(func() { release.Do(func() { close(gate) }) }) // before srv.Close
 	nc, err := net.Dial("tcp", srv.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer nc.Close()
+	if err := nc.SetDeadline(time.Now().Add(readDeadline)); err != nil {
+		t.Fatal(err)
+	}
 	enc := json.NewEncoder(nc)
 	if err := enc.Encode(monitorapi.ClientFrame{Type: monitorapi.FrameOpen, Open: &monitorapi.Open{
 		Version: 1, Tenant: "t", Object: "flood", Model: "queue",
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	// Flood far past the window without reading a single ack. The reader
-	// counts unacked batches; winning the race against 63 full ack
-	// round-trips in a row is not a realistic loss.
 	ev := []history.WireEvent{{Kind: "inv", Proc: 1, ID: 1, Op: "Enq", Arg: 1}}
-	for i := 1; i <= 64; i++ {
+	for i := 1; i <= 4; i++ {
 		if err := enc.Encode(monitorapi.ClientFrame{Type: monitorapi.FrameEvents,
 			Batch: &monitorapi.EventBatch{Seq: uint64(i), Events: ev}}); err != nil {
 			break // server closed on us mid-flood: that is the point
 		}
 	}
-	dec := json.NewDecoder(nc)
-	sawOverload := false
-	for {
-		var f monitorapi.ServerFrame
-		if err := dec.Decode(&f); err != nil {
-			break
-		}
-		if f.Type == monitorapi.FrameOverload {
-			sawOverload = true
-			break
-		}
+	var f monitorapi.ServerFrame
+	if err := json.NewDecoder(nc).Decode(&f); err != nil {
+		t.Fatalf("flooding client got no frame: %v", err)
 	}
-	if !sawOverload {
-		t.Fatalf("flooding client never received an overload frame")
+	if f.Type != monitorapi.FrameOverload {
+		t.Fatalf("flooding client got %+v, want an overload frame", f)
 	}
+	release.Do(func() { close(gate) })
 }
 
 // TestBadFrames: protocol violations get error frames, not hangs.
@@ -381,6 +397,9 @@ func TestBadFrames(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer nc.Close()
+			if err := nc.SetDeadline(time.Now().Add(readDeadline)); err != nil {
+				t.Fatal(err)
+			}
 			if err := json.NewEncoder(nc).Encode(tc.frame); err != nil {
 				t.Fatal(err)
 			}

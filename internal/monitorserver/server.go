@@ -81,9 +81,13 @@ type Options struct {
 	// Append on a checker goroutine, handing the Shards value off over 1-deep
 	// channels so there is still exactly one driver at a time. Acks, gauges
 	// and checkpoints flush only after the owning round commits —
-	// checkpoint-before-ack and ack.Durable semantics are unchanged, and
-	// verdicts/stats stay bit-identical to the sequential dispatcher (modulo
-	// the IncStats PipelineRounds/PipelineStalls counters).
+	// checkpoint-before-ack and ack.Durable semantics are unchanged. What
+	// holds against the sequential dispatcher on any schedule: verdicts and
+	// IncStats.Events, and on un-refuted streams Compactions, GCRuns,
+	// DiscardedEvents, RetainedEvents and FrontierStates. The other effort
+	// counters (Appends, SegChecks, SearchRebuilds, SegExplored, StickyNo, …)
+	// depend on how batches group into rounds, which is timing, in either
+	// mode.
 	Pipeline bool
 }
 

@@ -36,12 +36,12 @@ type B15Result struct {
 	Rounds   int    // pipeline rounds observed on the pipelined arms
 	Stalls   int    // forced joins observed on the pipelined arms
 	Err      string // first driving failure; "" if none
-	Match    bool   // pipelined verdicts and stats identical to sequential
+	Match    bool   // pipelined runs agree with sequential (see RunPipelinedSoak)
 }
 
 // Ok reports whether the soak met the B15 correctness criteria: both arms
-// completed, every verdict was bit-identical between sequential and pipelined
-// driving, and the pipelined arms actually overlapped (Rounds > 0). The
+// completed, every verdict agreed between sequential and pipelined driving,
+// and the pipelined arms actually overlapped (Rounds > 0). The
 // wall-clock Ratio is deliberately not part of Ok — it is host-dependent and
 // gated separately by cmd/perfgate on hosts with at least 2 CPUs.
 func (r B15Result) Ok() bool {
@@ -58,10 +58,12 @@ func (r B15Result) Ok() bool {
 // on the hand-off goroutine. The server arm starts one in-process linmond
 // per configuration and firehoses `clients` concurrent sessions (one dense
 // 4-process queue history each, batched at B15Burst events) through its
-// dispatcher, sequential vs double-buffered. Verdicts and final stats must
-// be bit-identical between the off and on runs of each arm (modulo the
+// dispatcher, sequential vs double-buffered. The decoupled arm's verdicts and
+// final stats must be bit-identical between its off and on runs (modulo the
 // PipelineRounds/PipelineStalls/PipelineWaitNs counters, which only the
-// pipelined run accumulates).
+// pipelined run accumulates). The server arm's must agree on verdicts and
+// applied events only: linmond groups batches into rounds by timing, so its
+// other counters differ run to run (DESIGN.md §2i).
 func RunPipelinedSoak(ops, clients int) B15Result {
 	res := B15Result{Match: true}
 	fail := func(err error) {
