@@ -69,6 +69,12 @@ type Open struct {
 	// Window requests a credit window (max unacked batches); 0 accepts the
 	// server default. The server may grant less; hello reports the grant.
 	Window int `json:"window,omitempty"`
+	// Session, on a reconnect, is the hello.Session the client's previous
+	// connection was granted. An open presenting the object's current
+	// session token supersedes that connection — presumed dead, its teardown
+	// not yet seen by the server — instead of being rejected as a second
+	// concurrent session. 0 (a first open) never supersedes. Additive field.
+	Session uint64 `json:"session,omitempty"`
 }
 
 // EventBatch is the payload of a FrameEvents: a contiguous slice of the
@@ -124,6 +130,10 @@ type ServerFrame struct {
 	// does not persist (Persist false). Additive field: old clients ignore
 	// it, old servers never set it — no protocol version bump.
 	Durable uint64 `json:"durable,omitempty"`
+	// Session, on hello, is a random nonzero token naming this attachment
+	// of the object; a reconnect presents it in Open.Session. Additive
+	// field: old clients ignore it, old servers never set it.
+	Session uint64 `json:"session,omitempty"`
 }
 
 // VerdictString renders a check verdict for the wire.

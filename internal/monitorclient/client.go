@@ -12,11 +12,13 @@
 //
 // Reconnect. Sent-but-unacked batches are kept until acked. On a broken
 // connection (when WithReconnect is set) the session redials, reopens the
-// same object, trims the pending list by the hello's acked sequence and
-// resends the rest; the server's seq-based dedup makes the resend
-// exactly-once. The protocol is synchronous — the session owns its
-// connection from one goroutine, reading acks inline — so a Session is not
-// safe for concurrent use.
+// same object under the hello's session token — so the server replaces the
+// dead connection even before it has seen it close, rather than refusing a
+// second session — trims the pending list by the hello's acked sequence and
+// resends the rest, never more than the credit window at a time; the
+// server's seq-based dedup makes the resend exactly-once. The protocol is
+// synchronous — the session owns its connection from one goroutine, reading
+// acks inline — so a Session is not safe for concurrent use.
 //
 // Server restarts. A server that persists monitor state (hello.Persist) may
 // greet a reconnect with an Acked BELOW what it previously acknowledged —
@@ -85,8 +87,10 @@ type Session struct {
 	window  int
 	nextSeq uint64
 	verdict check.Verdict
-	pending []monitorapi.EventBatch // sent, not yet acked (resend buffer)
+	pending []monitorapi.EventBatch // queued, not yet acked (resend buffer)
+	sent    int                     // pending batches written on the current connection
 	persist bool                    // server checkpoints durably (hello.Persist)
+	session uint64                  // hello.Session of the last connection, presented on reconnect
 	replay  []monitorapi.EventBatch // acked, not yet durable (restart buffer; persist only)
 	stats   *monitorapi.Stats
 	err     error
@@ -119,7 +123,7 @@ func (s *Session) connect() error {
 	err = conn.send(monitorapi.ClientFrame{Type: monitorapi.FrameOpen, Open: &monitorapi.Open{
 		Version: monitorapi.ProtocolVersion,
 		Tenant:  s.tenant, Object: s.object, Model: s.model,
-		Config: s.cfg, Window: s.reqWindow,
+		Config: s.cfg, Window: s.reqWindow, Session: s.session,
 	}})
 	if err != nil {
 		nc.Close()
@@ -142,6 +146,7 @@ func (s *Session) connect() error {
 		return fmt.Errorf("server protocol %d newer than client %d", hello.Version, monitorapi.ProtocolVersion)
 	}
 	s.conn = conn
+	s.session = hello.Session
 	s.window = hello.Window
 	if s.window < 1 {
 		s.window = 1
@@ -195,12 +200,26 @@ func (s *Session) connect() error {
 			"server lost batches %d..%d of %s/%s (restart acked %d, durable %d): beyond the session's replay buffer",
 			hello.Acked+1, floor-1, s.tenant, s.object, hello.Acked, hello.Durable))
 	}
-	for _, b := range s.pending {
-		if err := conn.send(monitorapi.ClientFrame{Type: monitorapi.FrameEvents, Batch: &b}); err != nil {
-			nc.Close()
-			s.conn = nil
+	// The resend may exceed the credit window (a restart re-stages the replay
+	// tail ahead of the unacked batches); flush writes one window's worth and
+	// the ack loops in Send and Drain write the rest as credit frees.
+	s.sent = 0
+	if err := s.flush(); err != nil {
+		nc.Close()
+		s.conn = nil
+		return err
+	}
+	return nil
+}
+
+// flush writes the pending batches the current connection has not carried
+// yet, up to the credit window.
+func (s *Session) flush() error {
+	for s.sent < len(s.pending) && s.sent < s.window {
+		if err := s.conn.send(monitorapi.ClientFrame{Type: monitorapi.FrameEvents, Batch: &s.pending[s.sent]}); err != nil {
 			return err
 		}
+		s.sent++
 	}
 	return nil
 }
@@ -222,30 +241,31 @@ func (s *Session) Send(events history.History) error {
 	if err != nil {
 		return s.fail(err)
 	}
-	batch := monitorapi.EventBatch{Seq: s.nextSeq, Events: wire}
-	s.nextSeq++
 	queued := false
 	return s.withRetry(func() error {
 		for len(s.pending) >= s.window {
+			if err := s.flush(); err != nil {
+				return err
+			}
 			if err := s.readFrame(); err != nil {
 				return err
 			}
 		}
 		if !queued {
-			// Joining pending BEFORE the write hands the batch to the resume
-			// path: if the wire dies mid-send, connect trims it by the
-			// hello's acked sequence and resends it with the rest of the
-			// pending tail — otherwise connect would see a sequence past the
-			// server's acked with nothing buffered to fill it and report a
-			// false gap. A batch both carried by the dying wire and resent by
-			// connect is absorbed by the server's seq dedup.
-			s.pending = append(s.pending, batch)
+			// The batch takes its sequence number and joins pending together,
+			// BEFORE the write: that hands it to the resume path. If the wire
+			// dies mid-send, connect trims it by the hello's acked sequence
+			// and resends it with the rest of the pending tail. Numbering it
+			// any earlier — say, before waiting for credit above — would let
+			// a reconnect in that wait see a sequence past the server's acked
+			// with nothing buffered to fill it, and report a false gap. A
+			// batch both carried by the dying wire and resent by connect is
+			// absorbed by the server's seq dedup.
+			s.pending = append(s.pending, monitorapi.EventBatch{Seq: s.nextSeq, Events: wire})
+			s.nextSeq++
 			queued = true
-			if err := s.conn.send(monitorapi.ClientFrame{Type: monitorapi.FrameEvents, Batch: &batch}); err != nil {
-				return err
-			}
 		}
-		return nil
+		return s.flush()
 	})
 }
 
@@ -256,6 +276,9 @@ func (s *Session) Drain() (check.Verdict, error) {
 	}
 	err := s.withRetry(func() error {
 		for len(s.pending) > 0 {
+			if err := s.flush(); err != nil {
+				return err
+			}
 			if err := s.readFrame(); err != nil {
 				return err
 			}
@@ -315,6 +338,7 @@ func (s *Session) readFrame() error {
 				s.replay = append(s.replay, s.pending[0])
 			}
 			s.pending = s.pending[1:]
+			s.sent = max(s.sent-1, 0)
 		}
 		for len(s.replay) > 0 && s.replay[0].Seq <= f.Durable {
 			s.replay = s.replay[1:]

@@ -259,6 +259,63 @@ func TestSessionConflict(t *testing.T) {
 	b.Close()
 }
 
+// TestSessionSupersede: an open presenting the attached session's hello
+// token replaces that session — the reconnect of a client whose old
+// connection the server has not yet seen die — while an open with any other
+// token is still a conflict, and the replaced token is spent.
+func TestSessionSupersede(t *testing.T) {
+	srv := startServer(t, monitorserver.Options{})
+	type rawConn struct {
+		nc  net.Conn
+		dec *json.Decoder
+	}
+	open := func(token uint64) rawConn {
+		t.Helper()
+		nc, err := net.Dial("tcp", srv.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { nc.Close() })
+		if err := nc.SetDeadline(time.Now().Add(readDeadline)); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.NewEncoder(nc).Encode(monitorapi.ClientFrame{Type: monitorapi.FrameOpen,
+			Open: &monitorapi.Open{Version: 1, Tenant: "t", Object: "obj", Model: "queue", Session: token}}); err != nil {
+			t.Fatal(err)
+		}
+		return rawConn{nc, json.NewDecoder(nc)}
+	}
+	read := func(c rawConn) monitorapi.ServerFrame {
+		t.Helper()
+		var f monitorapi.ServerFrame
+		if err := c.dec.Decode(&f); err != nil {
+			t.Fatalf("reading frame: %v", err)
+		}
+		return f
+	}
+
+	a := open(0)
+	hello := read(a)
+	if hello.Type != monitorapi.FrameHello || hello.Session == 0 {
+		t.Fatalf("first open: got %+v, want a hello with a session token", hello)
+	}
+	if f := read(open(hello.Session + 2)); f.Type != monitorapi.FrameError ||
+		!strings.Contains(f.Err, "active session") {
+		t.Fatalf("open with a wrong token: got %+v, want active-session rejection", f)
+	}
+	b := open(hello.Session)
+	if f := read(b); f.Type != monitorapi.FrameHello || f.Session == 0 || f.Session == hello.Session {
+		t.Fatalf("reconnect with the session's token: got %+v, want a hello with a fresh token", f)
+	}
+	if f := read(a); f.Type != monitorapi.FrameError || !strings.Contains(f.Err, "superseded") {
+		t.Fatalf("replaced connection: got %+v, want a superseded error", f)
+	}
+	if f := read(open(hello.Session)); f.Type != monitorapi.FrameError ||
+		!strings.Contains(f.Err, "active session") {
+		t.Fatalf("open with the spent token: got %+v, want active-session rejection", f)
+	}
+}
+
 // TestReopenResume: a fresh client attaching to an object with prior state
 // continues the stream where the last session left off.
 func TestReopenResume(t *testing.T) {

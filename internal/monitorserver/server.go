@@ -35,6 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"math/rand/v2"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -65,8 +66,8 @@ type Options struct {
 	// to silence).
 	Logf func(format string, args ...any)
 	// Store, when set, makes monitor state durable (DESIGN.md §2h): every
-	// object is checkpointed into it periodically and on dispatcher drain
-	// (Close / SIGTERM), and an open for an object this instance does not
+	// object is checkpointed into it periodically, on a session's bye and on
+	// dispatcher drain (Close / SIGTERM), and an open for an object this instance does not
 	// hold in memory first tries to restore it — hello.Acked then resumes at
 	// the checkpointed sequence instead of zero. nil (the default) keeps the
 	// pre-durability behaviour: state lives and dies with the process.
@@ -125,6 +126,7 @@ type object struct {
 	staged  uint64        // batches staged into not-yet-committed absorb rounds
 	verdict check.Verdict // shard verdict as of the last committed round (replay acks)
 	sess    *session      // active session, nil when detached
+	token   uint64        // hello.Session of the latest attachment
 
 	// Durability bookkeeping (Options.Store; all dispatcher-owned).
 	key       string // store key (tenant + NUL + object)
@@ -435,6 +437,17 @@ func (s *Server) dispatch() {
 				// reads it; the in-flight round must commit first (and a
 				// reopen's hello.Acked must reflect committed batches).
 				pipe.join(s, false)
+				// A reopen's hello.Acked must also count the batches its
+				// object has staged in the round being assembled. Otherwise
+				// the resumed session resends them, the resends are dropped
+				// as duplicates, and their acks go to the session that first
+				// sent them.
+				if o := msg.open; o != nil {
+					if obj := objects[o.Tenant+"\x00"+o.Object]; obj != nil && obj.staged > 0 {
+						cur = s.apply(shards, cur, pipe)
+						pipe.join(s, false)
+					}
+				}
 				s.handleOpen(shards, objects, msg)
 			case opBatch:
 				s.stageBatch(shards, msg, cur)
@@ -442,6 +455,14 @@ func (s *Server) dispatch() {
 			case opBye:
 				pipe.join(s, false) // Verdict/Stats read the monitors
 				if obj := msg.sess.obj; obj != nil && obj.sess == msg.sess {
+					// A graceful bye leaves the object durable through its
+					// last ack before the stats frame goes out, so once a
+					// client's Close returns nothing more is written for the
+					// object until a new session applies batches — not even
+					// by the drain checkpoint of Close.
+					if s.opts.Store != nil && obj.applied > obj.durable {
+						s.checkpoint(shards, obj)
+					}
 					sh := shards.Shard(obj.shard)
 					st := sh.Stats()
 					if pipe != nil {
@@ -588,7 +609,7 @@ func (s *Server) handleOpen(shards *check.Shards, objects map[string]*object, ms
 			return
 		}
 		objects[key] = obj
-	case obj.sess != nil:
+	case obj.sess != nil && (o.Session == 0 || o.Session != obj.token):
 		s.abort(msg.sess, monitorapi.FrameError,
 			fmt.Sprintf("object %s/%s already has an active session", o.Tenant, o.Object))
 		return
@@ -596,16 +617,25 @@ func (s *Server) handleOpen(shards *check.Shards, objects map[string]*object, ms
 		s.abort(msg.sess, monitorapi.FrameError,
 			fmt.Sprintf("object %s/%s reopened with a different model or config", o.Tenant, o.Object))
 		return
+	case obj.sess != nil:
+		// The attached session's own reconnect: its old connection is dead
+		// but its teardown (opGone) is still queued behind this open.
+		// Detach it now; the queued opGone then only closes it out.
+		old := obj.sess
+		obj.sess = nil
+		s.abort(old, monitorapi.FrameError, "superseded by a reconnect of the same session")
 	}
 	if o.Window > 0 && o.Window < msg.sess.window {
 		msg.sess.window = o.Window
 	}
 	obj.sess = msg.sess
+	obj.token = rand.Uint64() | 1 // nonzero: 0 means "no token"
 	msg.sess.obj = obj
 	msg.sess.enqueue(monitorapi.ServerFrame{
 		Type: monitorapi.FrameHello, Version: monitorapi.ProtocolVersion,
 		Acked: obj.applied, Window: msg.sess.window,
 		Persist: s.opts.Store != nil, Durable: obj.durable,
+		Session: obj.token,
 	}, s)
 }
 
