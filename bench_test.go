@@ -489,7 +489,7 @@ func BenchmarkRetentionSoak(b *testing.B) {
 			b.ReportMetric(float64(maxRetained), "retained-events-max")
 		}
 		b.Run(fmt.Sprintf("retained/ops=%d", ops), func(b *testing.B) {
-			run(b, true, core.WithVerifierRetention(soakPolicy))
+			run(b, true, core.WithVerifierConfig(check.Config{Retain: true, Retention: soakPolicy}))
 		})
 		b.Run(fmt.Sprintf("unbounded/ops=%d", ops), func(b *testing.B) {
 			run(b, false)
@@ -691,56 +691,6 @@ func TestSoakCheckpointRestoreB14(t *testing.T) {
 	if r.MaxBytes > r.Bound {
 		t.Fatalf("largest checkpoint %d bytes exceeds the %d O(window) bound (stream %d events)",
 			r.MaxBytes, r.Bound, r.Events)
-	}
-}
-
-// ---------------------------------------------------------------------------
-// B15: pipelined ingest — X(τ) assembly for burst N+1 overlaps the segment
-// check of burst N, on both tiers that implement the overlap (the decoupled
-// in-process verifier and the linmond dispatcher), with verdicts and stats
-// bit-identical to sequential driving
-// ---------------------------------------------------------------------------
-
-// BenchmarkPipelinedSoak is the B15 family: the shared internal/soak
-// RunPipelinedSoak body (decoupled heavy-tail stream + linmond loopback
-// firehose) once per iteration, off and on arms both inside the timed
-// region — so ns/op tracks the whole A/B experiment, and the reported
-// ratio/rounds metrics say what the overlap bought. cmd/perfgate gates the
-// wall-clock ratio (>=2 CPUs only); this benchmark records it.
-func BenchmarkPipelinedSoak(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := soak.RunPipelinedSoak(512, 3)
-		if !r.Ok() {
-			b.Fatalf("pipelined soak failed: %+v", r)
-		}
-		if i == b.N-1 {
-			b.ReportMetric(r.Ratio, "speedup-ratio")
-			b.ReportMetric(float64(r.Rounds), "pipeline-rounds")
-			b.ReportMetric(float64(r.Stalls), "pipeline-stalls")
-		}
-	}
-}
-
-// TestSoakPipelinedB15 is the B15 acceptance check: both pipelined arms
-// complete, actually overlap rounds, and stay verdict- and stats-identical
-// to their sequential drivings. The wall-clock speedup is deliberately not
-// asserted here — it is host-dependent and gated by cmd/perfgate on hosts
-// with at least 2 CPUs.
-func TestSoakPipelinedB15(t *testing.T) {
-	ops := 2048
-	clients := 4
-	if testing.Short() {
-		ops, clients = 512, 2
-	}
-	r := soak.RunPipelinedSoak(ops, clients)
-	if r.Err != "" {
-		t.Fatalf("pipelined soak failed mid-run: %s", r.Err)
-	}
-	if !r.Match {
-		t.Fatalf("pipelined verdicts or stats diverged from sequential driving: %+v", r)
-	}
-	if r.Rounds == 0 {
-		t.Fatalf("pipelined arms never overlapped a round: %+v", r)
 	}
 }
 

@@ -9,7 +9,6 @@
 //	linmond -listen :7474 -workers 4
 //	linmond -listen 127.0.0.1:0 -window 16 -queue 512 -gauge-every 8
 //	linmond -listen :7474 -state-dir /var/lib/linmond -checkpoint-every 64
-//	linmond -listen :7474 -workers 4 -pipeline
 //
 // Clients connect with internal/monitorclient (or anything speaking the wire
 // format, e.g. cmd/stress -net). Monitor configuration — retention policy,
@@ -49,7 +48,6 @@ func run() int {
 	gaugeEvery := flag.Int("gauge-every", 16, "stream a gauge frame every n acks (<0 disables)")
 	stateDir := flag.String("state-dir", "", "directory for durable monitor checkpoints (empty disables persistence)")
 	ckptEvery := flag.Int("checkpoint-every", 64, "checkpoint an object every n applied batches (with -state-dir)")
-	pipeline := flag.Bool("pipeline", false, "double-buffer absorb rounds: stage the next round while the pool checks the current one")
 	flag.Parse()
 
 	if *workers < 1 || *queue < 1 || *window < 1 {
@@ -88,18 +86,13 @@ func run() int {
 		GaugeEvery:      *gaugeEvery,
 		Store:           store,
 		CheckpointEvery: *ckptEvery,
-		Pipeline:        *pipeline,
 	})
 	durable := ""
 	if store != nil {
 		durable = fmt.Sprintf(" state-dir=%s checkpoint-every=%d", *stateDir, *ckptEvery)
 	}
-	piped := ""
-	if *pipeline {
-		piped = " pipeline=on"
-	}
-	log.Printf("linmond: listening on %s (workers=%d queue=%d window=%d%s%s)",
-		srv.Addr(), *workers, *queue, *window, durable, piped)
+	log.Printf("linmond: listening on %s (workers=%d queue=%d window=%d%s)",
+		srv.Addr(), *workers, *queue, *window, durable)
 
 	<-sig
 	log.Printf("linmond: shutting down")

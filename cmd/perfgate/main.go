@@ -67,25 +67,13 @@
 //     checkpoint scaling with history length — or if the restored clone's
 //     verdicts diverge from the uninterrupted primary's.
 //
-//   - B15 pipelined-ingest gate: the same workload driven with the ingest
-//     pipeline off and on, on both tiers that implement it (internal/soak
-//     RunPipelinedSoak): the decoupled heavy-tail stream through
-//     core.IncVerifier with core.WithVerifierPipeline, and a linmond
-//     loopback firehose through monitorserver.Options.Pipeline. Verdicts
-//     must agree between the two drivings on every host, with stats
-//     bit-identical on the decoupled arm and applied events equal on the
-//     server arm (a mismatch fails everywhere); the wall-clock speedup is gated at
-//     -b15minratio (default 1.3x) only on hosts with at least 2 CPUs —
-//     below that, overlap measures the scheduler, and the gate records
-//     status skip, exactly like B11 on small containers.
-//
 // Every gate verdict is also emitted as a uniform {gate, status, value,
 // bound} entry in the JSON (status pass|fail|skip), so the benchmark-
 // trajectory tooling can diff runs across PRs without parsing ad-hoc keys,
 // and each gate has a distinct process exit code (B8=2, B9=3, B10=4, B11=5,
-// B12=6, B13=7, B14=8, B15=9; setup failures exit 1) so CI logs identify the
-// tripped gate from the exit status alone. With several failures the first
-// tripped gate's code wins. The JSON also records the measuring host
+// B12=6, B13=7, B14=8; setup failures exit 1; 9 belonged to the retired B15
+// gate and is not reused) so CI logs identify the tripped gate from the exit
+// status alone. With several failures the first tripped gate's code wins. The JSON also records the measuring host
 // ({goos, goarch, cpus, gomaxprocs, go_version}) so committed trajectory
 // records say what hardware their numbers mean anything on.
 //
@@ -128,12 +116,11 @@ const (
 	exitB12   = 6
 	exitB13   = 7
 	exitB14   = 8
-	exitB15   = 9
 )
 
 // hostInfo records the measuring host in every gates JSON: benchmark numbers
 // without the hardware they were taken on are noise, and skip decisions
-// (B11, B15) are only auditable if the artifact says how many CPUs there were.
+// (B11) are only auditable if the artifact says how many CPUs there were.
 type hostInfo struct {
 	GOOS       string `json:"goos"`
 	GOARCH     string `json:"goarch"`
@@ -196,15 +183,6 @@ type result struct {
 	B14MaxBytes    int           `json:"b14_max_checkpoint_bytes"`
 	B14Bound       int           `json:"b14_checkpoint_bytes_bound"`
 	B14Ns          int64         `json:"b14_ns"`
-	B15Ops         int           `json:"b15_ops"`
-	B15DecOffNs    int64         `json:"b15_decoupled_off_ns"`
-	B15DecOnNs     int64         `json:"b15_decoupled_on_ns"`
-	B15SrvOffNs    int64         `json:"b15_server_off_ns"`
-	B15SrvOnNs     int64         `json:"b15_server_on_ns"`
-	B15Ratio       float64       `json:"b15_ratio"`
-	B15MinRatio    float64       `json:"b15_min_ratio"`
-	B15Rounds      int           `json:"b15_pipeline_rounds"`
-	B15Stalls      int           `json:"b15_pipeline_stalls"`
 	Gates          []gateEntry   `json:"gates"`
 	Pass           bool          `json:"pass"`
 }
@@ -233,8 +211,6 @@ func run() int {
 	minScale := flag.Float64("minscale", 1.5, "minimum 4-worker-vs-1 speedup for the B11 parallel gate (auto-skip below 4 CPUs)")
 	b13MinRatio := flag.Float64("b13minratio", 50, "minimum explored-steps ratio (Wing–Gong explored / tier peel steps) for the B13 fast-tier gate")
 	b14Ops := flag.Int("b14ops", 20000, "operations for the B14 durable-checkpoint gate")
-	b15Ops := flag.Int("b15ops", 512, "published operations for the B15 pipelined-ingest gate")
-	b15MinRatio := flag.Float64("b15minratio", 1.3, "minimum pipeline-on-vs-off speedup for the B15 gate (auto-skip below 2 CPUs)")
 	baseline := flag.Bool("baseline", false, "emit B10 speedup vs the recorded pre-PR baseline (reference host only)")
 	out := flag.String("out", "BENCH_perf_smoke.json", "JSON output path (empty = none)")
 	resultsDir := flag.String("results", "", "also write the JSON as <dir>/<UTC timestamp>.json and regenerate <dir>/index.md (the benchmarks/results/ convention, docs/benchmarks.md)")
@@ -533,55 +509,6 @@ func run() int {
 		gate("b14", "fail", float64(b14.MaxBytes), float64(b14.Bound), exitB14)
 	default:
 		gate("b14", "pass", float64(b14.MaxBytes), float64(b14.Bound), exitB14)
-	}
-
-	// --- B15 pipelined-ingest gate -------------------------------------------
-	// The pipelined soak (internal/soak RunPipelinedSoak, the body behind
-	// TestSoakPipelinedB15): the decoupled heavy-tail stream and a linmond
-	// loopback firehose, each driven sequentially and pipelined. Correctness
-	// (agreement as RunPipelinedSoak defines it, rounds actually overlapping) is
-	// judged on every host; the wall-clock speedup needs a second CPU to mean
-	// anything, so below 2 CPUs the ratio gate records skip, like B11.
-	res.B15Ops = *b15Ops
-	res.B15MinRatio = *b15MinRatio
-	b15 := soak.B15Result{}
-	for r := 0; r < 3; r++ { // best-of-3 on the ratio; any correctness failure is final
-		run := soak.RunPipelinedSoak(*b15Ops, 3)
-		if !run.Ok() {
-			b15 = run
-			break
-		}
-		if run.Ratio > b15.Ratio {
-			b15 = run
-		}
-	}
-	res.B15DecOffNs, res.B15DecOnNs = b15.DecOffNs, b15.DecOnNs
-	res.B15SrvOffNs, res.B15SrvOnNs = b15.SrvOffNs, b15.SrvOnNs
-	res.B15Ratio = b15.Ratio
-	res.B15Rounds, res.B15Stalls = b15.Rounds, b15.Stalls
-	fmt.Printf("B15 gate: ops=%d dec-off=%v dec-on=%v srv-off=%v srv-on=%v ratio=%.2fx (min %.2fx) rounds=%d stalls=%d match=%v\n",
-		*b15Ops, time.Duration(b15.DecOffNs), time.Duration(b15.DecOnNs),
-		time.Duration(b15.SrvOffNs), time.Duration(b15.SrvOnNs),
-		b15.Ratio, *b15MinRatio, b15.Rounds, b15.Stalls, b15.Match)
-	switch {
-	case b15.Err != "":
-		fmt.Fprintf(os.Stderr, "FAIL: B15 pipelined soak failed mid-run: %s\n", b15.Err)
-		gate("b15", "fail", b15.Ratio, *b15MinRatio, exitB15)
-	case !b15.Match:
-		fmt.Fprintln(os.Stderr, "FAIL: B15 pipelined verdicts or stats diverged from sequential driving")
-		gate("b15", "fail", b15.Ratio, *b15MinRatio, exitB15)
-	case b15.Rounds == 0:
-		fmt.Fprintln(os.Stderr, "FAIL: B15 pipelined arms never overlapped a round — the gate measured nothing")
-		gate("b15", "fail", b15.Ratio, *b15MinRatio, exitB15)
-	case runtime.NumCPU() < 2:
-		fmt.Printf("B15 gate: ratio skipped (%d CPU < 2; overlap needs a free core), correctness checked\n", runtime.NumCPU())
-		gate("b15", "skip", b15.Ratio, *b15MinRatio, exitB15)
-	case b15.Ratio < *b15MinRatio:
-		fmt.Fprintf(os.Stderr, "FAIL: B15 pipeline speedup %.2fx below the %.2fx gate — the overlap stopped paying\n",
-			b15.Ratio, *b15MinRatio)
-		gate("b15", "fail", b15.Ratio, *b15MinRatio, exitB15)
-	default:
-		gate("b15", "pass", b15.Ratio, *b15MinRatio, exitB15)
 	}
 
 	res.Pass = ok

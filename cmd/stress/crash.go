@@ -17,14 +17,13 @@ import (
 
 // crashCfg carries the -crash-every soak's flag values.
 type crashCfg struct {
-	every    int    // batches between forced server restarts
-	batch    int    // events per wire batch
-	fault    string // "" or "mutate"
-	procs    int
-	ops      int
-	seeds    int
-	monitor  check.Config
-	pipeline bool // double-buffer the in-process server's absorb rounds
+	every   int    // batches between forced server restarts
+	batch   int    // events per wire batch
+	fault   string // "" or "mutate"
+	procs   int
+	ops     int
+	seeds   int
+	monitor check.Config
 }
 
 // runCrash is the crash-restart soak: each seed streams a generated history
@@ -38,7 +37,6 @@ type crashCfg struct {
 func runCrash(m spec.Model, cfg crashCfg) int {
 	start := time.Now()
 	events, failures, mismatches, violations, restarts := 0, 0, 0, 0, 0
-	pipeRounds, pipeStalls := 0, 0   // largest bye-frame snapshot (counters reset per server instance)
 	quiet := func(string, ...any) {} // injected checkpoint failures are the point, not news
 
 	for seed := 0; seed < cfg.seeds; seed++ {
@@ -59,8 +57,7 @@ func runCrash(m spec.Model, cfg crashCfg) int {
 			failures++
 			continue
 		}
-		opts := monitorserver.Options{Workers: 2, Store: store, CheckpointEvery: 4, Logf: quiet,
-			Pipeline: cfg.pipeline}
+		opts := monitorserver.Options{Workers: 2, Store: store, CheckpointEvery: 4, Logf: quiet}
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "seed %d: listen: %v\n", seed, err)
@@ -119,9 +116,6 @@ func runCrash(m spec.Model, cfg crashCfg) int {
 		streamed, closeErr := check.Yes, error(nil)
 		if sendErr == nil {
 			streamed, closeErr = sess.Close()
-			if st := sess.Stats(); st != nil && st.Check.PipelineRounds > pipeRounds {
-				pipeRounds, pipeStalls = st.Check.PipelineRounds, st.Check.PipelineStalls
-			}
 		}
 		switch {
 		case sendErr != nil:
@@ -147,16 +141,13 @@ func runCrash(m spec.Model, cfg crashCfg) int {
 	}
 	elapsed := time.Since(start)
 
-	fmt.Printf("crash model=%s fault=%q procs=%d ops/proc=%d seeds=%d batch=%d crash-every=%d retain=%v workers=%d pipeline=%v\n",
+	fmt.Printf("crash model=%s fault=%q procs=%d ops/proc=%d seeds=%d batch=%d crash-every=%d retain=%v workers=%d\n",
 		m.Name(), cfg.fault, cfg.procs, cfg.ops, cfg.seeds, cfg.batch, cfg.every,
-		cfg.monitor.Retain, cfg.monitor.Parallelism, cfg.pipeline)
+		cfg.monitor.Retain, cfg.monitor.Parallelism)
 	fmt.Printf("streamed events: %d in %v (%.0f events/s) across %d forced restarts\n",
 		events, elapsed.Round(time.Millisecond), float64(events)/elapsed.Seconds(), restarts)
 	fmt.Printf("sessions: %d ok, %d failed, %d divergences, %d violations reported\n",
 		cfg.seeds-failures-mismatches, failures, mismatches, violations)
-	if cfg.pipeline {
-		fmt.Printf("pipeline (server dispatcher): rounds>=%d stalls>=%d\n", pipeRounds, pipeStalls)
-	}
 	if failures > 0 || mismatches > 0 {
 		return 1
 	}

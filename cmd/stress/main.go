@@ -10,7 +10,6 @@
 //	stress -model counter -decoupled -verifiers 3 -ops 2000
 //	stress -model counter -decoupled -fullrecheck -ops 2000   # paper-literal loop
 //	stress -model counter -decoupled -retain -ops 25000       # bounded-memory soak
-//	stress -model queue -decoupled -pipeline -ops 5000        # overlapped ingest/check
 //	stress -model queue -decoupled -ops 5000 -cpuprofile cpu.out -memprofile mem.out
 //
 // With -net the soak runs against a linmond monitoring service instead of an
@@ -84,7 +83,6 @@ func run() int {
 	report := flag.Duration("report", 2*time.Second, "retention: live heap/retained-ops reporting interval (0 = off)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the soak to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile taken at soak end to this file")
-	pipeline := flag.Bool("pipeline", false, "overlap ingest assembly with the previous burst's check (decoupled: the dispatcher monitor; crash: the in-process server's absorb rounds; net: rides in the open config — server-side overlap needs linmond -pipeline)")
 	netMode := flag.Bool("net", false, "stream the soak to a linmond server instead of an in-process pipeline")
 	addr := flag.String("addr", "127.0.0.1:7474", "net: linmond server address")
 	netbatch := flag.Int("netbatch", 128, "net and crash modes: events per wire batch")
@@ -121,6 +119,17 @@ func run() int {
 		}()
 	}
 
+	// The monitor configuration every mode hands its monitors; the decoupled
+	// mode's flag checks below reject the combinations it cannot honour.
+	monitor := check.Config{NoFastTier: !*fasttier}
+	if *workers > 1 {
+		monitor.Parallelism = *workers
+	}
+	if *retain {
+		monitor.Retain = true
+		monitor.Retention = check.RetentionPolicy{GCBatch: *gcbatch, CommitCuts: *commitcuts}
+	}
+
 	if *replay != "" {
 		if *netMode || *crashEvery != 0 || *decoupled || *fullrecheck || *fault != "" {
 			fmt.Fprintln(os.Stderr, "-replay streams a recorded trace; it is incompatible with -net, -crash-every, -decoupled, -fullrecheck and -fault")
@@ -142,21 +151,13 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "unknown model %q\n", replayModel)
 			return 2
 		}
-		cfg := check.Config{NoFastTier: !*fasttier, Pipeline: *pipeline}
-		if *workers > 1 {
-			cfg.Parallelism = *workers
-		}
-		if *retain {
-			cfg.Retain = true
-			cfg.Retention = check.RetentionPolicy{GCBatch: *gcbatch, CommitCuts: *commitcuts}
-		}
-		if err := cfg.Validate(); err != nil {
+		if err := monitor.Validate(); err != nil {
 			fmt.Fprintf(os.Stderr, "monitor config: %v\n", err)
 			return 2
 		}
 		return runReplay(replayCfg{
 			path: *replay, addr: replayAddr, speed: *speed,
-			batch: *netbatch, model: replayModel, monitor: cfg,
+			batch: *netbatch, model: replayModel, monitor: monitor,
 		})
 	}
 	if *speed != 0 {
@@ -197,29 +198,19 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "%s mode supports -fault mutate (trace perturbation), not %q\n", mode, *fault)
 			return 2
 		}
-		cfg := check.Config{NoFastTier: !*fasttier, Pipeline: *pipeline}
-		if *workers > 1 {
-			cfg.Parallelism = *workers
-		}
-		if *retain {
-			cfg.Retain = true
-			cfg.Retention = check.RetentionPolicy{GCBatch: *gcbatch, CommitCuts: *commitcuts}
-		}
-		if err := cfg.Validate(); err != nil {
+		if err := monitor.Validate(); err != nil {
 			fmt.Fprintf(os.Stderr, "monitor config: %v\n", err)
 			return 2
 		}
 		if *crashEvery != 0 {
 			return runCrash(m, crashCfg{
 				every: *crashEvery, batch: *netbatch, fault: *fault,
-				procs: *procs, ops: *ops, seeds: *seeds, monitor: cfg,
-				pipeline: *pipeline,
+				procs: *procs, ops: *ops, seeds: *seeds, monitor: monitor,
 			})
 		}
 		return runNet(m, netCfg{
 			addr: *addr, batch: *netbatch, fault: *fault,
-			procs: *procs, ops: *ops, seeds: *seeds, monitor: cfg,
-			pipeline: *pipeline,
+			procs: *procs, ops: *ops, seeds: *seeds, monitor: monitor,
 		})
 	}
 
@@ -267,14 +258,6 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "-commitcuts requires -retain (commit-point cuts are a retention discipline)")
 		return 2
 	}
-	if *pipeline && *fullrecheck {
-		fmt.Fprintln(os.Stderr, "-pipeline is incompatible with -fullrecheck (the paper-literal loop has no incremental monitor to pipeline)")
-		return 2
-	}
-	if *pipeline && !*decoupled {
-		fmt.Fprintln(os.Stderr, "-pipeline requires -decoupled (or -net/-crash-every, whose server dispatcher it toggles)")
-		return 2
-	}
 	fasttierSet := false
 	flag.Visit(func(f *flag.Flag) {
 		if f.Name == "fasttier" {
@@ -292,9 +275,8 @@ func run() int {
 	if *decoupled {
 		cfg := decoupledCfg{
 			fault: *fault, rate: *rate, procs: *procs, ops: *ops, seeds: *seeds,
-			verifiers: *verifiers, fullrecheck: *fullrecheck, fasttier: *fasttier,
-			retain: *retain, commitcuts: *commitcuts, workers: *workers, gcbatch: *gcbatch, report: *report,
-			pipeline: *pipeline,
+			verifiers: *verifiers, fullrecheck: *fullrecheck, workers: *workers,
+			report: *report, monitor: monitor,
 		}
 		return runDecoupled(m, obj, mode, cfg)
 	}
@@ -361,13 +343,9 @@ type decoupledCfg struct {
 	seeds       int
 	verifiers   int
 	fullrecheck bool
-	fasttier    bool
-	retain      bool
-	commitcuts  bool
 	workers     int
-	gcbatch     int
 	report      time.Duration
-	pipeline    bool
+	monitor     check.Config // the dispatcher monitor's configuration
 }
 
 // runDecoupled soaks D_{O,A} (Figure 12): producers never wait for
@@ -387,28 +365,15 @@ func runDecoupled(m spec.Model, obj genlin.Object, mode impls.FaultMode, cfg dec
 			inner = impls.NewFaulty(inner, mode, cfg.rate, uint64(seed))
 		}
 		var reports atomic.Int64
-		var opts []core.DecoupledOption
+		opts := []core.DecoupledOption{core.WithDecoupledConfig(cfg.monitor)}
 		if cfg.fullrecheck {
 			opts = append(opts, core.WithFullRecheck())
-		}
-		if cfg.retain {
-			opts = append(opts, core.WithDecoupledRetention(check.RetentionPolicy{
-				GCBatch: cfg.gcbatch, CommitCuts: cfg.commitcuts}))
-		}
-		if cfg.workers > 1 {
-			opts = append(opts, core.WithDecoupledParallelism(cfg.workers))
-		}
-		if !cfg.fasttier {
-			opts = append(opts, core.WithDecoupledFastTier(false))
-		}
-		if cfg.pipeline {
-			opts = append(opts, core.WithDecoupledPipeline(true))
 		}
 		d := core.NewDecoupled(inner, cfg.procs, cfg.verifiers, obj,
 			func(core.Report) { reports.Add(1) }, opts...)
 		stopReport := make(chan struct{})
 		var reportWg sync.WaitGroup
-		if cfg.retain && cfg.report > 0 {
+		if cfg.monitor.Retain && cfg.report > 0 {
 			reportWg.Add(1)
 			go func() {
 				defer reportWg.Done()
@@ -465,9 +430,6 @@ func runDecoupled(m spec.Model, obj genlin.Object, mode impls.FaultMode, cfg dec
 		agg.Verify.Check.Compactions += st.Verify.Check.Compactions
 		agg.Verify.Check.GCRuns += st.Verify.Check.GCRuns
 		agg.Verify.Check.DiscardedEvents += st.Verify.Check.DiscardedEvents
-		agg.Verify.Check.PipelineRounds += st.Verify.Check.PipelineRounds
-		agg.Verify.Check.PipelineStalls += st.Verify.Check.PipelineStalls
-		agg.Verify.PipelineWaitNs += st.Verify.PipelineWaitNs
 		// Gauges, not counters: keep the last run's final state.
 		agg.Verify.RetainedTuples = st.Verify.RetainedTuples
 		agg.Verify.Check.RetainedEvents = st.Verify.Check.RetainedEvents
@@ -484,8 +446,9 @@ func runDecoupled(m spec.Model, obj genlin.Object, mode impls.FaultMode, cfg dec
 	}
 	elapsed := time.Since(start)
 
-	fmt.Printf("decoupled model=%s fault=%q rate=%d procs=%d ops/proc=%d runs=%d verifiers=%d fullrecheck=%v retain=%v commitcuts=%v workers=%d fasttier=%v pipeline=%v\n",
-		m.Name(), cfg.fault, cfg.rate, cfg.procs, cfg.ops, cfg.seeds, cfg.verifiers, cfg.fullrecheck, cfg.retain, cfg.commitcuts, cfg.workers, cfg.fasttier, cfg.pipeline)
+	fmt.Printf("decoupled model=%s fault=%q rate=%d procs=%d ops/proc=%d runs=%d verifiers=%d fullrecheck=%v retain=%v commitcuts=%v workers=%d fasttier=%v\n",
+		m.Name(), cfg.fault, cfg.rate, cfg.procs, cfg.ops, cfg.seeds, cfg.verifiers, cfg.fullrecheck,
+		cfg.monitor.Retain, cfg.monitor.Retention.CommitCuts, cfg.workers, !cfg.monitor.NoFastTier)
 	fmt.Printf("produced ops: %d in %v (%.0f ops/s)\n",
 		totalOps.Load(), elapsed.Round(time.Millisecond), float64(totalOps.Load())/elapsed.Seconds())
 	fmt.Printf("pipeline: scans=%d passes=%d tuples=%d groups=%d rebuilds=%d segchecks=%d fallbacks=%d compactions=%d reports=%d\n",
@@ -495,21 +458,13 @@ func runDecoupled(m spec.Model, obj genlin.Object, mode impls.FaultMode, cfg dec
 		fmt.Printf("fast tier: hits=%d fallbacks=%d (0/0 is expected with -fasttier=false or a model outside the tier's fragment)\n",
 			agg.Verify.Check.FastTierHits, agg.Verify.Check.FastTierFallbacks)
 	}
-	if cfg.pipeline {
-		// Overlap diagnostics: rounds whose Append ran concurrently with the
-		// next burst's assembly, forced joins, and the total time the
-		// dispatcher spent blocked on the hand-off channel.
-		fmt.Printf("pipeline: rounds=%d stalls=%d handoff-wait=%v\n",
-			agg.Verify.Check.PipelineRounds, agg.Verify.Check.PipelineStalls,
-			time.Duration(agg.Verify.PipelineWaitNs).Round(time.Microsecond))
-	}
-	if cfg.retain {
+	if cfg.monitor.Retain {
 		fmt.Printf("retention: gcruns=%d discarded-events=%d retained-events(last run)=%d discarded-tuples=%d retained-tuples(last run)=%d deferrals=%d released: result-nodes=%d ann-nodes=%d\n",
 			agg.Verify.Check.GCRuns, agg.Verify.Check.DiscardedEvents, agg.Verify.Check.RetainedEvents,
 			agg.Verify.DiscardedTuples, agg.Verify.RetainedTuples, agg.Verify.Deferrals,
 			agg.ResultNodesReleased, agg.Verify.AnnNodesReleased)
 	}
-	if cfg.commitcuts {
+	if cfg.monitor.Retention.CommitCuts {
 		fmt.Printf("commit cuts: cuts=%d carried-ops=%d (0 is expected when every burst quiesces or the model is not strongly ordered)\n",
 			agg.Verify.Check.CommitCuts, agg.Verify.Check.CarriedOps)
 	}

@@ -15,14 +15,13 @@ import (
 
 // netCfg carries the -net soak's flag values.
 type netCfg struct {
-	addr     string
-	batch    int
-	fault    string // "" or "mutate"
-	procs    int
-	ops      int
-	seeds    int
-	monitor  check.Config
-	pipeline bool
+	addr    string
+	batch   int
+	fault   string // "" or "mutate"
+	procs   int
+	ops     int
+	seeds   int
+	monitor check.Config
 }
 
 // runNet soaks a linmond server: every seed generates a history, streams it
@@ -36,8 +35,6 @@ func runNet(m spec.Model, cfg netCfg) int {
 		events   int
 		streamed check.Verdict
 		local    check.Verdict
-		rounds   int // server dispatcher pipeline counters at this session's bye
-		stalls   int
 		err      error
 	}
 	start := time.Now()
@@ -80,10 +77,6 @@ func runNet(m spec.Model, cfg netCfg) int {
 				}
 			}
 			o.streamed, o.err = sess.Close()
-			if st := sess.Stats(); st != nil {
-				o.rounds = st.Check.PipelineRounds
-				o.stalls = st.Check.PipelineStalls
-			}
 		}(seed)
 	}
 	wg.Wait()
@@ -111,18 +104,6 @@ func runNet(m spec.Model, cfg netCfg) int {
 		events, elapsed.Round(time.Millisecond), float64(events)/elapsed.Seconds())
 	fmt.Printf("sessions: %d ok, %d failed, %d verdict mismatches, %d violations reported\n",
 		cfg.seeds-failures-mismatches, failures, mismatches, violations)
-	if cfg.pipeline {
-		// The dispatcher counters are server-global; each bye frame carries a
-		// snapshot, so the largest one is the best lower bound this client can
-		// see. All-zero means the server was not started with -pipeline.
-		rounds, stalls := 0, 0
-		for _, o := range outs {
-			if o.rounds > rounds {
-				rounds, stalls = o.rounds, o.stalls
-			}
-		}
-		fmt.Printf("pipeline (server dispatcher): rounds>=%d stalls>=%d\n", rounds, stalls)
-	}
 	if failures > 0 || mismatches > 0 {
 		return 1
 	}

@@ -7,10 +7,10 @@ import "fmt"
 // — retention policy (including commit-point cuts), parallelism and the
 // log-linear fast tier. The library options (WithRetention, WithParallelism,
 // WithFastTier), the verification-pipeline options in internal/core
-// (WithVerifierConfig, WithDecoupledConfig and their per-knob wrappers), the
-// CLI flags of cmd/stress and cmd/linmond, and the monitorapi wire protocol
-// all build on this one type, so a configuration travels unchanged from a
-// remote client's session-open frame to the monitor instance that serves it.
+// (WithVerifierConfig, WithDecoupledConfig), the CLI flags of cmd/stress and
+// cmd/linmond, and the monitorapi wire protocol all build on this one type,
+// so a configuration travels unchanged from a remote client's session-open
+// frame to the monitor instance that serves it.
 //
 // The zero Config is the library default: unbounded full-witness monitoring,
 // sequential engine, fast tier on. Field semantics are chosen so that every
@@ -34,21 +34,6 @@ type Config struct {
 	// fragment). Inverted so the default is the zero value. Equivalent to
 	// WithFastTier(false).
 	NoFastTier bool `json:"no_fast_tier,omitempty"`
-	// Pipeline asks the *driver* of the monitor to overlap ingest assembly
-	// with the previous burst's Append: the decoupled dispatcher
-	// (core.WithDecoupledPipeline) and the linmond server double-buffer
-	// absorb rounds, handing the monitor off between rounds so there is
-	// still exactly one driving goroutine at a time. The monitor itself
-	// ignores the field — an Incremental built with Pipeline set is the
-	// sequential monitor; only drivers that document pipelining act on it.
-	// What holds against sequential driving on any schedule: verdicts,
-	// reports and IncStats.Events, and on un-refuted streams Compactions,
-	// GCRuns, DiscardedEvents, RetainedEvents and FrontierStates. The other
-	// effort counters (Appends, SegChecks, SearchRebuilds, SegExplored,
-	// StickyNo, …) count Appends, so they differ wherever the grouping of
-	// input into Appends is timing-dependent, as linmond's absorb rounds
-	// are.
-	Pipeline bool `json:"pipeline,omitempty"`
 }
 
 // Validate reports whether the configuration is well-formed: no negative

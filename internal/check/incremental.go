@@ -224,14 +224,6 @@ type IncStats struct {
 	RetainedEvents    int   // events currently held (gauge)
 	RetainedBytes     int64 // approximate bytes of retained events (gauge)
 	FrontierStates    int   // current size of the frontier state set (gauge)
-
-	// Driver-maintained counters (Config.Pipeline): the monitor never touches
-	// them; a pipelining driver (core.IncVerifier, monitorserver) folds them
-	// in when it reports merged stats. Zero under sequential driving, which
-	// is what keeps pipelined and sequential stats comparable by masking
-	// exactly these two fields.
-	PipelineRounds int // absorb rounds whose Append overlapped the next round's assembly
-	PipelineStalls int // rounds that had to join the in-flight Append before proceeding
 }
 
 // NewIncremental returns an incremental monitor for the model, positioned at

@@ -391,6 +391,4 @@ func (a *IncStats) add(b IncStats) {
 	a.RetainedEvents += b.RetainedEvents
 	a.RetainedBytes += b.RetainedBytes
 	a.FrontierStates += b.FrontierStates
-	a.PipelineRounds += b.PipelineRounds
-	a.PipelineStalls += b.PipelineStalls
 }

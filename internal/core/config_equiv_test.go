@@ -9,53 +9,10 @@ import (
 	"repro/internal/spec"
 )
 
-// TestVerifierConfigEquivalence: an IncVerifier built from one
-// check.Config behaves bit-identically (verdicts and merged stats at every
-// publication) to one built from the equivalent per-knob options — the
-// core-level face of the Config consolidation.
-func TestVerifierConfigEquivalence(t *testing.T) {
-	obj := genlin.Linearizability(spec.Counter())
-	cases := []struct {
-		name string
-		opts []IncVerifierOption
-		cfg  check.Config
-	}{
-		{"retention", []IncVerifierOption{WithVerifierRetention(tightRetention)},
-			check.Config{Retain: true, Retention: tightRetention}},
-		{"retention+parallel", []IncVerifierOption{WithVerifierRetention(tightRetention), WithVerifierParallelism(2)},
-			check.Config{Retain: true, Retention: tightRetention, Parallelism: 2}},
-		{"retention+no-fasttier", []IncVerifierOption{WithVerifierRetention(tightRetention), WithVerifierFastTier(false)},
-			check.Config{Retain: true, Retention: tightRetention, NoFastTier: true}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			for seed := int64(1); seed <= 4; seed++ {
-				faulty := seed%2 == 0
-				fromOpts := NewIncVerifier(3, obj, tc.opts...)
-				fromCfg := NewIncVerifier(3, obj, WithVerifierConfig(tc.cfg))
-				got := driveOne(seed, faulty, fromCfg)
-				want := driveOne(seed, faulty, fromOpts)
-				if len(got) != len(want) {
-					t.Fatalf("seed=%d: schedules diverged: %d vs %d publications", seed, len(got), len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("seed=%d pub=%d: config=%v options=%v", seed, i, got[i], want[i])
-					}
-				}
-				if fromCfg.Stats() != fromOpts.Stats() {
-					t.Fatalf("seed=%d: stats diverge\nconfig:  %+v\noptions: %+v",
-						seed, fromCfg.Stats(), fromOpts.Stats())
-				}
-			}
-		})
-	}
-}
-
-// TestDecoupledConfigResolution: the per-knob WithDecoupled* options and
-// WithDecoupledConfig resolve to the same monitor Config inside the pipeline
-// (verifiers=0 builds the structure without starting goroutines), and
-// full-recheck drops retention as documented.
+// TestDecoupledConfigResolution: WithDecoupledConfig lands unchanged in the
+// pipeline's monitor Config (verifiers=0 builds the structure without
+// starting goroutines), a later WithDecoupledConfig replaces an earlier one,
+// and full-recheck drops retention as documented.
 func TestDecoupledConfigResolution(t *testing.T) {
 	obj := genlin.Linearizability(spec.Counter())
 	build := func(opts ...DecoupledOption) *Decoupled {
@@ -64,25 +21,21 @@ func TestDecoupledConfigResolution(t *testing.T) {
 		return d
 	}
 	cfg := check.Config{Retain: true, Retention: check.RetentionPolicy{GCBatch: 2}, Parallelism: 2, NoFastTier: true}
-	fromCfg := build(WithDecoupledConfig(cfg))
-	fromOpts := build(
-		WithDecoupledRetention(check.RetentionPolicy{GCBatch: 2}),
-		WithDecoupledParallelism(2),
-		WithDecoupledFastTier(false))
-	if fromCfg.monitor != fromOpts.monitor {
-		t.Fatalf("resolved configs diverge\nconfig:  %+v\noptions: %+v", fromCfg.monitor, fromOpts.monitor)
+	if got := build(WithDecoupledConfig(cfg)).monitor; got != cfg {
+		t.Fatalf("WithDecoupledConfig mangled the config: %+v", got)
 	}
-	if fromCfg.monitor != cfg {
-		t.Fatalf("WithDecoupledConfig mangled the config: %+v", fromCfg.monitor)
-	}
-	// WithDecoupledConfig replaces everything accumulated before it.
-	replaced := build(WithDecoupledParallelism(8), WithDecoupledConfig(check.Config{Retain: true}))
+	replaced := build(WithDecoupledConfig(cfg), WithDecoupledConfig(check.Config{Retain: true}))
 	if replaced.monitor != (check.Config{Retain: true}) {
-		t.Fatalf("WithDecoupledConfig did not replace prior options: %+v", replaced.monitor)
+		t.Fatalf("a later WithDecoupledConfig did not replace the earlier one: %+v", replaced.monitor)
 	}
-	// Full-recheck has no incremental monitor; retention is dropped.
-	full := build(WithFullRecheck(), WithDecoupledConfig(cfg))
-	if full.monitor.Retain || full.monitor.Retention != (check.RetentionPolicy{}) {
-		t.Fatalf("full-recheck kept retention: %+v", full.monitor)
+	// Full-recheck has no incremental monitor; retention is dropped whichever
+	// order the options come in.
+	for _, full := range []*Decoupled{
+		build(WithFullRecheck(), WithDecoupledConfig(cfg)),
+		build(WithDecoupledConfig(cfg), WithFullRecheck()),
+	} {
+		if full.monitor.Retain || full.monitor.Retention != (check.RetentionPolicy{}) {
+			t.Fatalf("full-recheck kept retention: %+v", full.monitor)
+		}
 	}
 }

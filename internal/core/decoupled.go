@@ -85,7 +85,7 @@ type DecoupledStats struct {
 	ResultNodesReleased int64 // result cons-list nodes released by retention
 	Verify              IncVerifyStats
 	// Workers holds the monitor's per-worker-slot diagnostics under
-	// WithDecoupledParallelism (nil otherwise); see check.WorkerStat.
+	// Config.Parallelism (nil otherwise); see check.WorkerStat.
 	Workers []check.WorkerStat
 }
 
@@ -120,73 +120,20 @@ func WithFullRecheck() DecoupledOption {
 	return func(c *decoupledCfg) { c.full = true }
 }
 
-// WithDecoupledConfig configures the dispatcher's monitor with a whole
-// check.Config at once (via WithVerifierConfig) — the option a serialised
-// configuration (a monitorapi session, a CLI profile) lands on. Retention
-// additionally turns on the pipeline's own release machinery: the assembler
-// drops tuples and truncates announce lists behind the GC horizon, and
-// scanners release result cons-list prefixes once every verifier shard has
-// consumed past them. Incompatible with WithFullRecheck (the paper-literal
-// loop has no incremental monitor); full-recheck wins and the Config's
-// retention is dropped if both are given. The per-knob wrappers below mutate
-// the same Config (last write per knob wins; WithDecoupledConfig replaces
-// all of them).
+// WithDecoupledConfig configures the dispatcher's monitor with a
+// check.Config (via WithVerifierConfig) — the one option surface a
+// serialised configuration (a monitorapi session, a CLI profile) lands on.
+// Retention additionally turns on the pipeline's own release machinery: the
+// assembler drops tuples and truncates announce lists behind the GC horizon,
+// and scanners release result cons-list prefixes once every verifier shard
+// has consumed past them (conslist.Epoch). Parallelism overlaps the
+// independent per-frontier-state segment searches of one ingest pass on a
+// worker pool; it only fans out together with retention (the full-witness
+// monitor keeps a single-state frontier). Incompatible with WithFullRecheck
+// (the paper-literal loop has no incremental monitor); full-recheck wins and
+// the Config's retention is dropped if both are given.
 func WithDecoupledConfig(mc check.Config) DecoupledOption {
 	return func(c *decoupledCfg) { c.monitor = mc }
-}
-
-// WithDecoupledRetention bounds the verification pipeline's memory to the
-// monitoring window instead of the history length (zero policy values take
-// defaults): the monitor garbage-collects committed prefixes behind its
-// quiescent-cut frontier (check.WithRetention), the assembler drops tuples
-// and truncates announce lists behind the GC horizon, and scanners release
-// result cons-list prefixes once every verifier shard has consumed past them
-// (conslist.Epoch). Incompatible with WithFullRecheck, whose loop re-reads
-// the whole sketch by definition; full-recheck wins if both are given. Thin
-// wrapper over check.Config (WithDecoupledConfig).
-func WithDecoupledRetention(p check.RetentionPolicy) DecoupledOption {
-	return func(c *decoupledCfg) { c.monitor.Retain = true; c.monitor.Retention = p }
-}
-
-// WithDecoupledParallelism gives the dispatcher's monitor a worker pool of
-// width n (check.WithParallelism via WithVerifierParallelism): the
-// independent per-frontier-state segment searches of one ingest pass overlap
-// on the pool instead of serialising behind the single absorb loop, so a
-// burst whose frontier fans out no longer stalls batch absorption for the
-// sum of its refutations. Reports and verdicts are unchanged. Incompatible
-// with WithFullRecheck (the paper-literal loop has no incremental monitor to
-// parallelise); full-recheck wins if both are given. Only effective together
-// with WithDecoupledRetention: the full-witness monitor keeps a single-state
-// frontier, so without retention the pool never fans out (accepted but a
-// no-op, as check.WithParallelism documents). Thin wrapper over check.Config
-// (WithDecoupledConfig).
-func WithDecoupledParallelism(n int) DecoupledOption {
-	return func(c *decoupledCfg) { c.monitor.Parallelism = n }
-}
-
-// WithDecoupledFastTier enables or disables the dispatcher monitor's
-// log-linear decision tier (check.WithFastTier via WithVerifierFastTier; on
-// by default). Meaningless under WithFullRecheck, whose loop has no
-// incremental monitor — callers should reject that combination. Thin wrapper
-// over check.Config (WithDecoupledConfig).
-func WithDecoupledFastTier(enabled bool) DecoupledOption {
-	return func(c *decoupledCfg) { c.monitor.NoFastTier = !enabled }
-}
-
-// WithDecoupledPipeline overlaps the dispatcher's X(τ) assembly with the
-// previous burst's segment check (check.Config.Pipeline via
-// WithVerifierPipeline, DESIGN.md §2i): while the monitor runs burst N's
-// Append on a dedicated checker goroutine, the dispatcher absorbs and
-// assembles burst N+1, handing the monitor off over a 1-deep channel so
-// there is still exactly one driver at a time. Verdicts, reports and stats
-// are bit-identical to the sequential dispatcher (modulo the
-// PipelineRounds/PipelineStalls/PipelineWaitNs counters); the final drain
-// joins every round before Close returns, so CheckpointMonitor still
-// observes a committed round boundary. Incompatible with WithFullRecheck
-// (no incremental monitor to hand off); full-recheck wins if both are
-// given. Thin wrapper over check.Config (WithDecoupledConfig).
-func WithDecoupledPipeline(enabled bool) DecoupledOption {
-	return func(c *decoupledCfg) { c.monitor.Pipeline = enabled }
 }
 
 // NewDecoupled builds D_{O,A} with the given number of verifier goroutines.
@@ -203,7 +150,6 @@ func NewDecoupled(inner Implementation, n, verifiers int, obj genlin.Object, onR
 	if cfg.full {
 		cfg.monitor.Retain = false
 		cfg.monitor.Retention = check.RetentionPolicy{}
-		cfg.monitor.Pipeline = false
 	}
 	d := &Decoupled{
 		n:        n,
@@ -461,10 +407,6 @@ func (d *Decoupled) dispatch(scanners int) {
 			// announce). Report it instead of dropping the evidence.
 			iv.MarkCorrupt("announced operation's response tuple was never published")
 		}
-		// Join the last pipelined round and stop the checker goroutine before
-		// the final settle: Close's wait then guarantees the monitor is a
-		// settled, committed round boundary (CheckpointMonitor's contract).
-		iv.ClosePipeline()
 		settle()
 	}
 

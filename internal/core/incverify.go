@@ -34,7 +34,7 @@ import (
 // sticky: GenLin objects are prefix-closed, so once the published history
 // falls outside the object every extension does too.
 //
-// With WithVerifierRetention the pipeline bounds its own memory in lockstep
+// With Config.Retain the pipeline bounds its own memory in lockstep
 // with the monitor's garbage collector: tuples whose assembled events fell
 // behind the GC horizon are dropped from the rebuild buffer, the announce
 // cons-lists are truncated at the consumed floor, and a late publication is
@@ -70,18 +70,6 @@ type IncVerifier struct {
 	baseAnn  []int                 // per-process announce floor: invocations behind the GC horizon
 	annHeads []*conslist.Node[Ann] // heads of the largest view seen, for announce truncation
 
-	// Pipelined driving (cfg.Pipeline, DESIGN.md §2i): while pipe is live the
-	// monitor may be inside a previous round's Append on the checker
-	// goroutine; passBase is the stats snapshot a speculative assembly pass
-	// rolls back to when the join reveals the stream was already refuted.
-	pipe       *checkPipe
-	inflight   bool
-	passBase   *IncVerifyStats
-	pipeRounds int
-	pipeStalls int
-	pipeWaitNs int64
-	wcache     []check.WorkerStat // WorkerStats snapshot from the last join
-
 	verdict check.Verdict
 	err     error
 	stats   IncVerifyStats
@@ -100,75 +88,24 @@ type IncVerifyStats struct {
 	RetainedTuples   int   // tuples currently held for rebuilds (gauge)
 	AnnNodesReleased int64 // announce-list nodes unlinked by retention
 
-	// PipelineWaitNs is the time the dispatcher spent blocked in joins waiting
-	// for the checker to hand the monitor back (Config.Pipeline only; zero
-	// under sequential driving, and masked by the equivalence suites along
-	// with Check.PipelineRounds/PipelineStalls).
-	PipelineWaitNs int64
-
 	Check check.IncStats
 }
 
 // IncVerifierOption configures an IncVerifier.
 type IncVerifierOption func(*IncVerifier)
 
-// WithVerifierConfig configures the inner monitor with a whole check.Config
-// at once — the option the monitoring service and anything else holding a
-// serialised configuration uses. Retention additionally makes the assembler
-// release tuples and announce-list prefixes behind the monitor's GC horizon;
-// it requires an object that is linearizability of a sequential model (the
-// generic membership path needs the full history by definition) and is
-// degraded to the unbounded assembler otherwise. The per-knob wrappers below
-// mutate the same Config, so mixing them with WithVerifierConfig follows
-// last-write-wins per knob (WithVerifierConfig replaces all of them).
+// WithVerifierConfig configures the inner monitor with a check.Config — the
+// one option surface shared with the monitoring service and anything else
+// holding a serialised configuration. Retention additionally makes the
+// assembler release tuples and announce-list prefixes behind the monitor's GC
+// horizon; the caller must guarantee that nothing else traverses the announce
+// cons-lists below the consumed floor (true for the decoupled pipeline, whose
+// scanners read only view counts). Retention and parallelism require an
+// object that is linearizability of a sequential model (the generic
+// membership path needs the full history by definition) and are degraded to
+// the unbounded sequential assembler otherwise.
 func WithVerifierConfig(c check.Config) IncVerifierOption {
 	return func(iv *IncVerifier) { iv.cfg = c }
-}
-
-// WithVerifierRetention opts the pipeline in to bounded-memory monitoring:
-// the inner monitor runs under check.WithRetention(p) and the assembler
-// releases tuples and announce-list prefixes behind the monitor's GC horizon.
-// It requires an object that is linearizability of a sequential model (the
-// generic membership path needs the full history by definition); the option
-// is ignored otherwise. The caller must guarantee that nothing else traverses
-// the announce cons-lists below the consumed floor — true for the decoupled
-// pipeline, whose scanners read only view counts. Thin wrapper over
-// check.Config (WithVerifierConfig).
-func WithVerifierRetention(p check.RetentionPolicy) IncVerifierOption {
-	return func(iv *IncVerifier) { iv.cfg.Retain = true; iv.cfg.Retention = p }
-}
-
-// WithVerifierParallelism runs the inner monitor's segment checks and
-// frontier enumerations on up to n workers (check.WithParallelism): the
-// dispatcher's ingest pass no longer serialises the independent per-frontier-
-// state searches behind its single goroutine. Verdicts and stats are
-// unchanged (the parallel engine is sequential-equivalent by construction);
-// it requires an object that is linearizability of a sequential model and is
-// ignored otherwise. Thin wrapper over check.Config (WithVerifierConfig).
-func WithVerifierParallelism(n int) IncVerifierOption {
-	return func(iv *IncVerifier) { iv.cfg.Parallelism = n }
-}
-
-// WithVerifierFastTier enables or disables the inner monitor's log-linear
-// decision tier (check.WithFastTier; on by default). Verdicts are unchanged
-// either way — the knob exists so soaks can measure the tier's contribution.
-// Thin wrapper over check.Config (WithVerifierConfig).
-func WithVerifierFastTier(enabled bool) IncVerifierOption {
-	return func(iv *IncVerifier) { iv.cfg.NoFastTier = !enabled }
-}
-
-// WithVerifierPipeline overlaps X(τ) assembly with the previous burst's
-// segment check (check.Config.Pipeline, DESIGN.md §2i): each judge hands the
-// monitor to a dedicated checker goroutine over a 1-deep channel and the
-// dispatcher assembles the next burst while the Append runs, joining at the
-// next monitor-touching operation. Verdicts, sticky errors and stats are
-// bit-identical to sequential driving (modulo the PipelineRounds/
-// PipelineStalls/PipelineWaitNs counters); Verdict/Err/Stats/Witness reflect
-// the last joined round until Sync is called. Requires an object that is
-// linearizability of a sequential model; ignored on the generic-object path.
-// Thin wrapper over check.Config (WithVerifierConfig).
-func WithVerifierPipeline(enabled bool) IncVerifierOption {
-	return func(iv *IncVerifier) { iv.cfg.Pipeline = enabled }
 }
 
 // NewIncVerifier builds the pipeline for n processes monitoring obj.
@@ -196,23 +133,15 @@ func NewIncVerifier(n int, obj genlin.Object, opts ...IncVerifierOption) *IncVer
 			iv.baseAnn = make([]int, n)
 		}
 		iv.inc = check.NewIncremental(m, check.WithConfig(iv.cfg))
-		if iv.cfg.Pipeline {
-			iv.pipe = newCheckPipe(iv.inc)
-		}
 	}
 	return iv
 }
 
 // WorkerStats returns the inner monitor's per-worker diagnostics (nil without
-// WithVerifierParallelism or on the generic-object path). While a pipelined
-// round is in flight it returns the snapshot taken at the last join — the
-// live slices belong to the checker until the monitor is handed back.
+// Config.Parallelism or on the generic-object path).
 func (iv *IncVerifier) WorkerStats() []check.WorkerStat {
 	if iv.inc == nil {
 		return nil
-	}
-	if iv.inflight {
-		return iv.wcache
 	}
 	return iv.inc.WorkerStats()
 }
@@ -307,16 +236,6 @@ func (iv *IncVerifier) ingest(delta []Tuple) bool {
 	}
 	if len(fresh) == 0 {
 		return false
-	}
-	if iv.pipe != nil {
-		// The pass runs speculatively: the previous round's Append may still
-		// be in flight and could refute the stream, in which case the
-		// sequential dispatcher would have answered this pass from the sticky
-		// verdict without assembling anything. Snapshot the assembler counters
-		// so the first join can roll the speculation back (abortPass).
-		base := iv.stats
-		iv.passBase = &base
-		defer func() { iv.passBase = nil }()
 	}
 	iv.stats.Passes++
 	iv.stats.Tuples += len(fresh)
@@ -416,22 +335,9 @@ func (iv *IncVerifier) admit(e history.Event) error {
 	return nil
 }
 
-// judge hands the freshly assembled events to the monitor. Under pipelining
-// this is the natural hand-off point: join the previous round (adopting its
-// verdict — and discarding this pass's speculative assembly if it refuted the
-// stream), then dispatch this round's Append to the checker and return to
-// assembling.
+// judge hands the freshly assembled events to the monitor.
 func (iv *IncVerifier) judge(events history.History) {
 	if iv.inc != nil {
-		if iv.pipe != nil {
-			iv.joinPipe(true)
-			if iv.violated() {
-				iv.abortPass()
-				return
-			}
-			iv.dispatchCheck(events)
-			return
-		}
 		iv.verdict = iv.inc.Append(events)
 		iv.err = iv.inc.Err()
 		iv.syncGC()
@@ -486,20 +392,8 @@ func (iv *IncVerifier) syncGC() {
 	iv.stats.RetainedTuples = len(iv.all)
 }
 
-// fail records a views/well-formedness corruption: sticky violation. Under
-// pipelining it is a forced join: the monitor must be idle before the witness
-// events are appended — and if the join reveals the previous round already
-// refuted the stream, the sequential dispatcher would never have run this
-// pass, so the speculation (including this corruption) is discarded in favour
-// of the monitor's verdict.
+// fail records a views/well-formedness corruption: sticky violation.
 func (iv *IncVerifier) fail(err error, events history.History) {
-	if iv.pipe != nil {
-		iv.joinPipe(false)
-		if iv.violated() {
-			iv.abortPass()
-			return
-		}
-	}
 	// Keep whatever was assembled so the witness shows the corrupted state.
 	if iv.inc != nil {
 		iv.inc.Append(events)
@@ -523,17 +417,6 @@ func (iv *IncVerifier) fail(err error, events history.History) {
 // stream whose evidence predates the horizon surfaces as a ViewsError
 // instead.
 func (iv *IncVerifier) rebuild() {
-	if iv.pipe != nil {
-		// Forced join: ReloadWindow/Reset drive the monitor directly, and the
-		// reconstruction must start from the GC horizon the previous round
-		// left behind. A violation revealed here aborts the pass (sequential
-		// driving would have answered it from the sticky verdict).
-		iv.joinPipe(false)
-		if iv.violated() {
-			iv.abortPass()
-			return
-		}
-	}
 	iv.stats.Rebuilds++
 	var h history.History
 	var err error
@@ -594,11 +477,6 @@ func (iv *IncVerifier) rebuild() {
 // necessary-condition check), with the same sticky semantics as a views
 // error found during assembly.
 func (iv *IncVerifier) MarkCorrupt(reason string) {
-	// Forced join: the sequential dispatcher only reaches a MarkCorrupt after
-	// the previous burst's Append returned, so the in-flight round's verdict
-	// must be folded in first — a monitor No from that round wins over the
-	// scanner's corruption report, exactly as it would sequentially.
-	iv.joinPipe(false)
 	if iv.violated() {
 		return
 	}
@@ -622,28 +500,16 @@ func (iv *IncVerifier) Verdict() check.Verdict { return iv.verdict }
 func (iv *IncVerifier) Err() error { return iv.err }
 
 // Witness returns the assembled history — the violation witness when the
-// verdict is No. Callers must not modify it. Under pipelining it joins any
-// in-flight round first (the monitor's window cannot be read mid-Append).
+// verdict is No. Callers must not modify it.
 func (iv *IncVerifier) Witness() history.History {
 	if iv.inc != nil {
-		iv.joinPipe(false)
 		return iv.inc.History()
 	}
 	return iv.hFull
 }
 
-// Stats returns the pipeline counters so far. Under pipelining the monitor
-// half (Check) reflects the last joined round — call Sync for a settled
-// snapshot — and carries the driver-maintained hand-off counters.
-func (iv *IncVerifier) Stats() IncVerifyStats {
-	st := iv.stats
-	if iv.cfg.Pipeline && iv.inc != nil {
-		st.Check.PipelineRounds = iv.pipeRounds
-		st.Check.PipelineStalls = iv.pipeStalls
-		st.PipelineWaitNs = iv.pipeWaitNs
-	}
-	return st
-}
+// Stats returns the pipeline counters so far.
+func (iv *IncVerifier) Stats() IncVerifyStats { return iv.stats }
 
 // sortTuplesByViewSize orders tuples by |λ| ascending (stable): comparable
 // views are ordered by size, so this is containment order within a batch.

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/check"
 	"repro/internal/genlin"
 	"repro/internal/impls"
 	"repro/internal/spec"
@@ -26,8 +27,7 @@ func TestDecoupledParallelMonitorRace(t *testing.T) {
 			got = append(got, r)
 			mu.Unlock()
 		},
-		WithDecoupledRetention(tightRetention),
-		WithDecoupledParallelism(4))
+		WithDecoupledConfig(check.Config{Retain: true, Retention: tightRetention, Parallelism: 4}))
 	var uniq trace.UniqSource
 	var wg sync.WaitGroup
 	for p := 0; p < procs; p++ {
@@ -68,7 +68,7 @@ func TestDecoupledParallelDetects(t *testing.T) {
 			mu.Lock()
 			reports++
 			mu.Unlock()
-		}, WithDecoupledRetention(tightRetention), WithDecoupledParallelism(4))
+		}, WithDecoupledConfig(check.Config{Retain: true, Retention: tightRetention, Parallelism: 4}))
 	var uniq trace.UniqSource
 	var wg sync.WaitGroup
 	for p := 0; p < procs; p++ {

@@ -91,12 +91,6 @@ func ResumeIncVerifier(n int, obj genlin.Object, inc *check.Incremental) (*IncVe
 	}
 	iv.lastCounts = append([]int(nil), iv.annPrev...)
 	iv.stats.Check = inc.Stats()
-	if cfg.Pipeline {
-		// The checkpointed configuration asked for pipelined driving; resume
-		// it (the hand-off counters restart at zero — they are driver state,
-		// not monitor state, and never part of the envelope).
-		iv.pipe = newCheckPipe(inc)
-	}
 	return iv, nil
 }
 

@@ -56,7 +56,7 @@ func TestResumeIncVerifierContinuation(t *testing.T) {
 			h := newIncHarness(inner, n)
 			var opts []IncVerifierOption
 			if retain {
-				opts = append(opts, WithVerifierRetention(check.RetentionPolicy{GCBatch: 8}))
+				opts = append(opts, WithVerifierConfig(check.Config{Retain: true, Retention: check.RetentionPolicy{GCBatch: 8}}))
 			}
 			ref := NewIncVerifier(n, obj, opts...)
 			var resumed *IncVerifier
@@ -97,7 +97,7 @@ func TestResumeIncVerifierDetectsPostResumeViolation(t *testing.T) {
 	const n = 2
 	obj := genlin.Linearizability(spec.Counter())
 	h := newIncHarness(impls.NewAtomicCounter(), n)
-	ref := NewIncVerifier(n, obj, WithVerifierRetention(check.RetentionPolicy{GCBatch: 4}))
+	ref := NewIncVerifier(n, obj, WithVerifierConfig(check.Config{Retain: true, Retention: check.RetentionPolicy{GCBatch: 4}}))
 	var uniq trace.UniqSource
 	gen := trace.NewOpGen("counter", 5, &uniq)
 	for i := 0; i < 20; i++ {
@@ -141,7 +141,7 @@ func TestDecoupledCheckpointMonitor(t *testing.T) {
 	const procs, perProc = 3, 40
 	obj := genlin.Linearizability(spec.Counter())
 	d := NewDecoupled(impls.NewAtomicCounter(), procs, 3, obj, nil,
-		WithDecoupledRetention(check.RetentionPolicy{GCBatch: 8}))
+		WithDecoupledConfig(check.Config{Retain: true, Retention: check.RetentionPolicy{GCBatch: 8}}))
 	var uniq trace.UniqSource
 	var wg sync.WaitGroup
 	for p := 0; p < procs; p++ {

@@ -73,7 +73,7 @@ func TestRetainedVerifierEquivalence(t *testing.T) {
 	obj := genlin.Linearizability(spec.Counter())
 	for seed := int64(1); seed <= 8; seed++ {
 		faulty := seed%2 == 0
-		retained := NewIncVerifier(3, obj, WithVerifierRetention(tightRetention))
+		retained := NewIncVerifier(3, obj, WithVerifierConfig(check.Config{Retain: true, Retention: tightRetention}))
 		unbounded := NewIncVerifier(3, obj)
 		got := driveOne(seed, faulty, retained)
 		want := driveOne(seed, faulty, unbounded)
@@ -104,7 +104,7 @@ func TestRetainedVerifierWindowRebuild(t *testing.T) {
 	const n = 2
 	h := newIncHarness(impls.NewAtomicCounter(), n)
 	obj := genlin.Linearizability(spec.Counter())
-	iv := NewIncVerifier(n, obj, WithVerifierRetention(tightRetention))
+	iv := NewIncVerifier(n, obj, WithVerifierConfig(check.Config{Retain: true, Retention: tightRetention}))
 	var uniq trace.UniqSource
 	inc := func(p int) Tuple {
 		return h.apply(p, spec.Operation{Method: spec.MethodInc, Uniq: uniq.Next()})
@@ -169,7 +169,7 @@ func TestRetainedVerifierStaleHorizon(t *testing.T) {
 	const n = 2
 	h := newIncHarness(impls.NewAtomicCounter(), n)
 	obj := genlin.Linearizability(spec.Counter())
-	iv := NewIncVerifier(n, obj, WithVerifierRetention(tightRetention))
+	iv := NewIncVerifier(n, obj, WithVerifierConfig(check.Config{Retain: true, Retention: tightRetention}))
 	var uniq trace.UniqSource
 	inc := func(p int) Tuple {
 		return h.apply(p, spec.Operation{Method: spec.MethodInc, Uniq: uniq.Next()})
@@ -210,7 +210,7 @@ func TestDecoupledRetainedRace(t *testing.T) {
 			mu.Lock()
 			got = append(got, r)
 			mu.Unlock()
-		}, WithDecoupledRetention(tightRetention))
+		}, WithDecoupledConfig(check.Config{Retain: true, Retention: tightRetention}))
 	var uniq trace.UniqSource
 	var wg sync.WaitGroup
 	for p := 0; p < procs; p++ {
@@ -248,7 +248,7 @@ func TestDecoupledRetainedDetects(t *testing.T) {
 			mu.Lock()
 			reports++
 			mu.Unlock()
-		}, WithDecoupledRetention(tightRetention))
+		}, WithDecoupledConfig(check.Config{Retain: true, Retention: tightRetention}))
 	var uniq trace.UniqSource
 	var wg sync.WaitGroup
 	for p := 0; p < procs; p++ {
@@ -324,7 +324,7 @@ func TestRetainedVerifierBurst(t *testing.T) {
 			}
 			return verdicts
 		}
-		got := drive(NewIncVerifier(n, obj, WithVerifierRetention(check.RetentionPolicy{})))
+		got := drive(NewIncVerifier(n, obj, WithVerifierConfig(check.Config{Retain: true})))
 		want := drive(NewIncVerifier(n, obj))
 		for i := range got {
 			if got[i] != want[i] {
@@ -352,7 +352,7 @@ func TestIncVerifierDeferredGap(t *testing.T) {
 	for _, retain := range []bool{false, true} {
 		var opts []IncVerifierOption
 		if retain {
-			opts = append(opts, WithVerifierRetention(tightRetention))
+			opts = append(opts, WithVerifierConfig(check.Config{Retain: true, Retention: tightRetention}))
 		}
 		iv := NewIncVerifier(n, obj, opts...)
 		iv.IngestTuples([]Tuple{t3})
@@ -384,7 +384,7 @@ func TestRetainedVerifierFrozenAfterViolation(t *testing.T) {
 	const n = 2
 	h := newIncHarness(impls.NewAtomicCounter(), n)
 	obj := genlin.Linearizability(spec.Counter())
-	iv := NewIncVerifier(n, obj, WithVerifierRetention(tightRetention))
+	iv := NewIncVerifier(n, obj, WithVerifierConfig(check.Config{Retain: true, Retention: tightRetention}))
 	var uniq trace.UniqSource
 	inc := func(p int) Tuple {
 		return h.apply(p, spec.Operation{Method: spec.MethodInc, Uniq: uniq.Next()})
@@ -452,7 +452,7 @@ func driveModel(m spec.Model, seed int64, iv *IncVerifier) []check.Verdict {
 }
 
 // TestRetainedVerifierCommitCuts: RetentionPolicy.CommitCuts threads through
-// WithVerifierRetention — the assembler's response-aligned GC sync and the
+// WithVerifierConfig — the assembler's response-aligned GC sync and the
 // windowed rebuild stay exact when the monitor restages carried invocations
 // — and the pipeline's verdicts still equal the unbounded pipeline's after
 // every publication, on strongly-ordered and on incapable models alike.
@@ -461,7 +461,7 @@ func TestRetainedVerifierCommitCuts(t *testing.T) {
 	for _, m := range []spec.Model{spec.Queue(), spec.Stack(), spec.PQueue(), spec.Counter()} {
 		obj := genlin.Linearizability(m)
 		for seed := int64(1); seed <= 6; seed++ {
-			retained := NewIncVerifier(3, obj, WithVerifierRetention(pol))
+			retained := NewIncVerifier(3, obj, WithVerifierConfig(check.Config{Retain: true, Retention: pol}))
 			unbounded := NewIncVerifier(3, obj)
 			got := driveModel(m, seed, retained)
 			want := driveModel(m, seed, unbounded)

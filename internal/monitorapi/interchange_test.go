@@ -128,6 +128,21 @@ func TestConfigRoundTrip(t *testing.T) {
 	}
 }
 
+// TestOpenIgnoresRetiredPipelineField: an open frame from an older client may
+// still carry the retired "pipeline" config knob. Decoders tolerate unknown
+// fields, so it decodes to the Config without it — which is also what a
+// reopen compares against the object's pinned Config.
+func TestOpenIgnoresRetiredPipelineField(t *testing.T) {
+	line := `{"type":"open","open":{"version":1,"tenant":"t","object":"o","model":"queue","config":{"retain":true,"pipeline":true}}}`
+	var f ClientFrame
+	if err := json.Unmarshal([]byte(line), &f); err != nil {
+		t.Fatal(err)
+	}
+	if f.Open == nil || f.Open.Config != (check.Config{Retain: true}) {
+		t.Fatalf("open decoded to %+v, want config {Retain: true}", f.Open)
+	}
+}
+
 func TestParseVerdict(t *testing.T) {
 	for _, v := range []check.Verdict{check.Yes, check.Maybe, check.No} {
 		got, err := ParseVerdict(VerdictString(v))

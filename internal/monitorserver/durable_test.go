@@ -1,6 +1,8 @@
 package monitorserver_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"strconv"
 	"strings"
 	"sync"
@@ -11,6 +13,7 @@ import (
 
 	"repro/internal/check"
 	"repro/internal/ckpt"
+	"repro/internal/monitorapi"
 	"repro/internal/monitorclient"
 	"repro/internal/monitorserver"
 	"repro/internal/spec"
@@ -431,5 +434,66 @@ func TestDurableAllCorruptStartsFresh(t *testing.T) {
 	payload, gen, err := dh.opts.Store.Restore("t\x00obj")
 	if err != nil || len(payload) == 0 {
 		t.Fatalf("store did not recover after all-corrupt fresh start: gen %d, %v", gen, err)
+	}
+}
+
+// TestDurableRetiredPipelineConfig: a checkpoint written by an older daemon
+// may pin a Config that still carries the retired "pipeline" knob. Decoding
+// drops the unknown field, so a reopen sending the same config without it
+// restores the object at the checkpointed seq instead of being refused as a
+// config mismatch.
+func TestDurableRetiredPipelineConfig(t *testing.T) {
+	m, _ := spec.ByName("queue")
+	cfg := check.Config{Retain: true}
+	bs := batches(genQuiescing(m, 5, 3, 120), 20)
+
+	dh := newDurableHarness(t, 1)
+	first, err := monitorclient.Dial(dh.addr, "t", "obj", "queue", monitorclient.WithConfig(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range bs {
+		if err := first.Send(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+	dh.restart() // the new incarnation holds nothing in memory: the open restores
+
+	// Rewrite the newest generation the way an older daemon pinned it.
+	store, key := dh.opts.Store, "t\x00obj"
+	payload, gen, err := store.Restore(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned := []byte(`"config":{"retain":true}`)
+	if !bytes.Contains(payload, pinned) {
+		t.Fatalf("checkpoint payload does not pin %s:\n%s", pinned, payload)
+	}
+	payload = bytes.ReplaceAll(payload, pinned, []byte(`"config":{"retain":true,"pipeline":true}`))
+	if _, err := store.Save(key, gen, payload); err != nil {
+		t.Fatal(err)
+	}
+
+	nc, err := net.Dial("tcp", dh.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	if err := nc.SetDeadline(time.Now().Add(readDeadline)); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.NewEncoder(nc).Encode(monitorapi.ClientFrame{Type: monitorapi.FrameOpen,
+		Open: &monitorapi.Open{Version: 1, Tenant: "t", Object: "obj", Model: "queue", Config: cfg}}); err != nil {
+		t.Fatal(err)
+	}
+	var hello monitorapi.ServerFrame
+	if err := json.NewDecoder(nc).Decode(&hello); err != nil {
+		t.Fatalf("reading hello: %v", err)
+	}
+	if hello.Type != monitorapi.FrameHello || hello.Acked != uint64(len(bs)) {
+		t.Fatalf("reopen against a checkpoint pinning pipeline:true: got %+v, want hello acked=%d", hello, len(bs))
 	}
 }

@@ -77,19 +77,6 @@ type Options struct {
 	// Smaller bounds the replay a restart asks of clients; larger amortises
 	// the serialisation cost.
 	CheckpointEvery int
-	// Pipeline double-buffers absorb rounds (DESIGN.md §2i): the dispatcher
-	// stages round N+1's per-shard deltas while the pool runs round N's
-	// Append on a checker goroutine, handing the Shards value off over 1-deep
-	// channels so there is still exactly one driver at a time. Acks, gauges
-	// and checkpoints flush only after the owning round commits —
-	// checkpoint-before-ack and ack.Durable semantics are unchanged. What
-	// holds against the sequential dispatcher on any schedule: verdicts and
-	// IncStats.Events, and on un-refuted streams Compactions, GCRuns,
-	// DiscardedEvents, RetainedEvents and FrontierStates. The other effort
-	// counters (Appends, SegChecks, SearchRebuilds, SegExplored, StickyNo, …)
-	// depend on how batches group into rounds, which is timing, in either
-	// mode.
-	Pipeline bool
 }
 
 func (o Options) withDefaults() Options {
@@ -122,11 +109,10 @@ type object struct {
 	name    string
 	model   string
 	cfg     check.Config
-	applied uint64        // highest batch seq applied (committed)
-	staged  uint64        // batches staged into not-yet-committed absorb rounds
-	verdict check.Verdict // shard verdict as of the last committed round (replay acks)
-	sess    *session      // active session, nil when detached
-	token   uint64        // hello.Session of the latest attachment
+	applied uint64   // highest batch seq applied (committed)
+	staged  uint64   // batches staged into the absorb round being assembled
+	sess    *session // active session, nil when detached
+	token   uint64   // hello.Session of the latest attachment
 
 	// Durability bookkeeping (Options.Store; all dispatcher-owned).
 	key       string // store key (tenant + NUL + object)
@@ -394,13 +380,18 @@ type pendingAck struct {
 	seq  uint64
 }
 
+// roundBuf is one absorb round's staged work: the per-shard deltas the pool
+// will apply in a single Shards.Append, and the acks owed once that round
+// commits.
+type roundBuf struct {
+	deltas []history.History
+	acks   []pendingAck
+}
+
 // dispatch is the dispatcher goroutine: sole owner of the Shards value and
 // of every object's applied/session state. Each round drains the queued
 // ingest (bounded by absorbChunk) into per-shard deltas and applies them
-// with one Shards.Append, so independent objects overlap on the pool. Under
-// Options.Pipeline the Append runs on the appendPipe's checker goroutine
-// while the dispatcher stages the next round; monitor-touching operations
-// outside the round cycle (open, bye) join the in-flight round first.
+// with one Shards.Append, so independent objects overlap on the pool.
 func (s *Server) dispatch() {
 	defer close(s.done)
 	shards := check.NewShards(nil, s.opts.Workers)
@@ -419,11 +410,6 @@ func (s *Server) dispatch() {
 			}
 		}
 	}()
-	var pipe *appendPipe
-	if s.opts.Pipeline {
-		pipe = newAppendPipe(shards)
-		defer pipe.stop() // runs before the checkpoint defer; always joined first
-	}
 
 	cur := &roundBuf{}
 	msg, ok := <-s.ingest
@@ -433,19 +419,14 @@ func (s *Server) dispatch() {
 		for {
 			switch msg.op {
 			case opOpen:
-				// Shards.Add/AddMonitor grow the pool and the restore path
-				// reads it; the in-flight round must commit first (and a
-				// reopen's hello.Acked must reflect committed batches).
-				pipe.join(s, false)
-				// A reopen's hello.Acked must also count the batches its
-				// object has staged in the round being assembled. Otherwise
-				// the resumed session resends them, the resends are dropped
-				// as duplicates, and their acks go to the session that first
+				// A reopen's hello.Acked must count the batches its object
+				// has staged in the round being assembled. Otherwise the
+				// resumed session resends them, the resends are dropped as
+				// duplicates, and their acks go to the session that first
 				// sent them.
 				if o := msg.open; o != nil {
 					if obj := objects[o.Tenant+"\x00"+o.Object]; obj != nil && obj.staged > 0 {
-						cur = s.apply(shards, cur, pipe)
-						pipe.join(s, false)
+						s.apply(shards, cur)
 					}
 				}
 				s.handleOpen(shards, objects, msg)
@@ -453,7 +434,6 @@ func (s *Server) dispatch() {
 				s.stageBatch(shards, msg, cur)
 				batched++
 			case opBye:
-				pipe.join(s, false) // Verdict/Stats read the monitors
 				if obj := msg.sess.obj; obj != nil && obj.sess == msg.sess {
 					// A graceful bye leaves the object durable through its
 					// last ack before the stats frame goes out, so once a
@@ -464,14 +444,9 @@ func (s *Server) dispatch() {
 						s.checkpoint(shards, obj)
 					}
 					sh := shards.Shard(obj.shard)
-					st := sh.Stats()
-					if pipe != nil {
-						st.PipelineRounds = pipe.rounds
-						st.PipelineStalls = pipe.stalls
-					}
 					msg.sess.enqueue(monitorapi.ServerFrame{
 						Type: monitorapi.FrameStats, Verdict: sh.Verdict().String(),
-						Stats: &monitorapi.Stats{Check: st},
+						Stats: &monitorapi.Stats{Check: sh.Stats()},
 					}, s)
 				}
 			case opGone:
@@ -488,10 +463,7 @@ func (s *Server) dispatch() {
 			select {
 			case msg, more = <-s.ingest:
 				if !more {
-					pipe.join(s, true)
-					if len(cur.acks) > 0 {
-						s.commitRound(shards, cur, shards.Append(cur.deltas))
-					}
+					s.apply(shards, cur)
 					return
 				}
 				continue
@@ -499,53 +471,16 @@ func (s *Server) dispatch() {
 			}
 			break
 		}
-		cur = s.apply(shards, cur, pipe)
-		// Block for the next message — but a pipelined round that finishes
-		// first must commit without waiting for new work: its acks replenish
-		// the very credit windows blocked senders may be waiting on.
-		if pipe != nil && pipe.inflight != nil {
-			select {
-			case verdicts := <-pipe.res:
-				pipe.commit(s, verdicts)
-				msg, ok = <-s.ingest
-			case msg, ok = <-s.ingest:
-			}
-		} else {
-			msg, ok = <-s.ingest
-		}
+		s.apply(shards, cur)
+		msg, ok = <-s.ingest
 	}
-	// Ingest closed between rounds: commit any in-flight work before the
-	// deferred pipe stop and final checkpoints run.
-	pipe.join(s, true)
-}
-
-// apply hands one staged round to the pool. Sequential mode runs the Append
-// synchronously and commits in place. Pipelined mode commits the previous
-// round (the natural hand-off point), dispatches this one to the checker and
-// returns a fresh buffer for the next round — this is the moment assembly of
-// round N+1 starts overlapping the check of round N.
-func (s *Server) apply(shards *check.Shards, cur *roundBuf, pipe *appendPipe) *roundBuf {
-	if pipe == nil {
-		if len(cur.acks) > 0 {
-			s.commitRound(shards, cur, shards.Append(cur.deltas))
-			cur.reset()
-		}
-		return cur
-	}
-	pipe.join(s, true)
-	if len(cur.acks) == 0 {
-		return cur
-	}
-	pipe.dispatch(cur)
-	return pipe.take()
 }
 
 // stageBatch validates one batch's sequencing and stages its events into the
 // round's per-shard delta. Replays (seq already applied) are acked without
 // re-applying — that is what makes client resend-after-reconnect exactly-once.
-// The replay ack's verdict comes from the object's committed-round cache, not
-// a live monitor read: between rounds the two are identical, and under
-// pipelining the monitor may be inside the in-flight round's Append.
+// The replay ack carries the monitor's verdict as of the last committed
+// round: nothing staged reaches the monitor before the round is applied.
 func (s *Server) stageBatch(shards *check.Shards, msg ingestMsg, cur *roundBuf) {
 	obj := msg.sess.obj
 	if obj == nil || obj.sess != msg.sess {
@@ -559,7 +494,7 @@ func (s *Server) stageBatch(shards *check.Shards, msg ingestMsg, cur *roundBuf) 
 			// ack without re-applying.
 			msg.sess.enqueue(monitorapi.ServerFrame{
 				Type: monitorapi.FrameAck, Seq: msg.seq,
-				Verdict: obj.verdict.String(),
+				Verdict: shards.Shard(obj.shard).Verdict().String(),
 				Durable: obj.durable,
 			}, s)
 			return
@@ -649,12 +584,11 @@ func (s *Server) handleOpen(shards *check.Shards, objects map[string]*object, ms
 // fails, never silently diverges (monitorclient's replay contract).
 func (s *Server) openObject(shards *check.Shards, o *monitorapi.Open, key string, sess *session) (*object, bool) {
 	obj := &object{
-		tenant:  o.Tenant,
-		name:    o.Object,
-		model:   o.Model,
-		cfg:     o.Config,
-		verdict: check.Yes,
-		key:     key,
+		tenant: o.Tenant,
+		name:   o.Object,
+		model:  o.Model,
+		cfg:    o.Config,
+		key:    key,
 	}
 	if s.opts.Store == nil {
 		obj.shard = shards.Add(mustModel(o.Model), check.WithConfig(o.Config))
@@ -697,7 +631,6 @@ func (s *Server) openObject(shards *check.Shards, o *monitorapi.Open, key string
 	obj.shard = shards.AddMonitor(inc)
 	obj.applied = cp.AppliedSeq
 	obj.durable = cp.AppliedSeq
-	obj.verdict = inc.Verdict() // a shard restored mid-refutation stays refuted
 	obj.gen = gen
 	s.opts.Logf("linmond: %s/%s: restored generation %d at seq %d", o.Tenant, o.Object, gen, cp.AppliedSeq)
 	return obj, false
@@ -709,14 +642,16 @@ func mustModel(name string) spec.Model {
 	return m
 }
 
-// commitRound makes one absorb round's results durable and visible, given the
-// verdicts its Shards.Append returned: applied cursors advance, due periodic
-// checkpoints are taken, then acks and gauges stream out. Checkpoints happen
-// before acks so an ack's Durable field reflects this round's checkpoint, not
-// the previous one — the ordering both the sequential and the pipelined
-// dispatcher preserve per owning round. The caller guarantees the pool is
-// idle (sequential mode, or a joined pipelined round).
-func (s *Server) commitRound(shards *check.Shards, r *roundBuf, verdicts []check.Verdict) {
+// apply runs one staged absorb round and makes its results durable and
+// visible: one Shards.Append, then applied cursors advance, due periodic
+// checkpoints are taken, then acks and gauges stream out, and the round's
+// buffers are reset for reuse. Checkpoints happen before acks so an ack's
+// Durable field reflects this round's checkpoint, not the previous one.
+func (s *Server) apply(shards *check.Shards, r *roundBuf) {
+	if len(r.acks) == 0 {
+		return
+	}
+	verdicts := shards.Append(r.deltas)
 	var touched []*object
 	for _, a := range r.acks {
 		obj := a.sess.obj
@@ -726,13 +661,10 @@ func (s *Server) commitRound(shards *check.Shards, r *roundBuf, verdicts []check
 		// The monitor consumed the batch either way, so applied advances
 		// even when the session vanished mid-round (its opGone was absorbed
 		// before this commit and its out channel is closed) — a reconnect
-		// must not re-apply the batch. staged decrements per ack rather than
-		// resetting: under pipelining it also counts batches staged into the
-		// round still being assembled.
+		// must not re-apply the batch.
 		obj.applied = a.seq
 		obj.staged--
 		obj.sinceCkpt++
-		obj.verdict = verdicts[obj.shard]
 		if len(touched) == 0 || touched[len(touched)-1] != obj {
 			touched = append(touched, obj)
 		}
@@ -767,6 +699,10 @@ func (s *Server) commitRound(shards *check.Shards, r *roundBuf, verdicts []check
 			}, s)
 		}
 	}
+	// Keep the backing arrays; stageBatch re-pads the per-shard entries with
+	// nil, so event slices are never shared across rounds.
+	r.deltas = r.deltas[:0]
+	r.acks = r.acks[:0]
 }
 
 // checkpoint durably saves one object's monitor under the CAS rule. Failures

@@ -65,7 +65,7 @@ func Run(m spec.Model, procs, ops int, policy check.RetentionPolicy) Result {
 	obj := genlin.Linearizability(m)
 	retTuples := Publish(m, procs, ops)
 	unbTuples := Publish(m, procs, ops)
-	retained := core.NewIncVerifier(procs, obj, core.WithVerifierRetention(policy))
+	retained := core.NewIncVerifier(procs, obj, core.WithVerifierConfig(check.Config{Retain: true, Retention: policy}))
 	unbounded := core.NewIncVerifier(procs, obj)
 	res := Result{Events: 2 * ops, Bound: WindowBound(policy), DivergedAt: -1}
 	for k := 0; k < ops; k++ {

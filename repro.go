@@ -142,7 +142,7 @@ type RetentionPolicy = check.RetentionPolicy
 // committed history behind its quiescent-cut frontier, keeping memory
 // O(window) instead of O(history) with verdicts unchanged (DESIGN.md §2b).
 func WithRetention(p RetentionPolicy) DecoupledOption {
-	return core.WithDecoupledRetention(p)
+	return core.WithDecoupledConfig(check.Config{Retain: true, Retention: p})
 }
 
 // Reference implementations of the paper's objects, usable as the black box
