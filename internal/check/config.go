@@ -5,8 +5,8 @@ import "fmt"
 // Config is the single configuration surface of the monitoring engine: one
 // serialisable struct holding every knob the incremental monitor understands
 // — retention policy (including commit-point cuts), parallelism and the
-// log-linear fast tier. The library options (WithRetention, WithParallelism,
-// WithFastTier), the verification-pipeline options in internal/core
+// log-linear fast tier. The library options (WithRetention, WithParallelism),
+// the verification-pipeline options in internal/core
 // (WithVerifierConfig, WithDecoupledConfig), the CLI flags of cmd/stress and
 // cmd/linmond, and the monitorapi wire protocol all build on this one type,
 // so a configuration travels unchanged from a remote client's session-open
@@ -31,8 +31,8 @@ type Config struct {
 	Parallelism int `json:"parallelism,omitempty"`
 	// NoFastTier disables the log-linear decision tier ahead of the exact
 	// search (the tier is on by default and auto-off for models outside its
-	// fragment). Inverted so the default is the zero value. Equivalent to
-	// WithFastTier(false).
+	// fragment). Inverted so the default is the zero value. It has no option
+	// wrapper: set it through WithConfig.
 	NoFastTier bool `json:"no_fast_tier,omitempty"`
 }
 

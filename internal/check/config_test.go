@@ -34,19 +34,13 @@ func equivalences() []optionEquivalent {
 			check.Config{Parallelism: 2}},
 		{"parallel-4-retained", []check.IncOption{check.WithParallelism(4), check.WithRetention(check.RetentionPolicy{GCBatch: 2})},
 			check.Config{Parallelism: 4, Retain: true, Retention: check.RetentionPolicy{GCBatch: 2}}},
-		{"no-fasttier", []check.IncOption{check.WithFastTier(false)},
-			check.Config{NoFastTier: true}},
-		{"no-fasttier-retained", []check.IncOption{check.WithFastTier(false), check.WithRetention(check.RetentionPolicy{})},
-			check.Config{NoFastTier: true, Retain: true}},
 		{"kitchen-sink", []check.IncOption{
 			check.WithRetention(check.RetentionPolicy{KeepEvents: 64, GCBatch: 2, CommitCuts: true}),
 			check.WithParallelism(3),
-			check.WithFastTier(false),
 		}, check.Config{
 			Retain:      true,
 			Retention:   check.RetentionPolicy{KeepEvents: 64, GCBatch: 2, CommitCuts: true},
 			Parallelism: 3,
-			NoFastTier:  true,
 		}},
 	}
 }
@@ -95,13 +89,11 @@ func TestConfigOptionEquivalence(t *testing.T) {
 func TestConfigEcho(t *testing.T) {
 	inc := check.NewIncremental(spec.Queue(),
 		check.WithRetention(check.RetentionPolicy{GCBatch: 7}),
-		check.WithParallelism(2),
-		check.WithFastTier(false))
+		check.WithParallelism(2))
 	want := check.Config{
 		Retain:      true,
 		Retention:   check.RetentionPolicy{GCBatch: 7},
 		Parallelism: 2,
-		NoFastTier:  true,
 	}
 	if got := inc.Config(); got != want {
 		t.Fatalf("Config() = %+v, want %+v", got, want)

@@ -10,8 +10,7 @@ import (
 // (internal/check/loglin) through the package's three consumers:
 //
 //   - the one-shot Monitor composition (ForModel, via the FastTier adapter
-//     below) — between the constant-factor No-detectors and the complete
-//     Wing–Gong search;
+//     below) — ahead of the complete Wing–Gong search;
 //   - the persistent segment checker (Incremental.fastTierSegment, called at
 //     the top of checkSegment) — the tier answers whole-history segments
 //     without touching the persistent searches, so retention and commit-cut
@@ -49,19 +48,6 @@ func (ft fastTierMonitor) Check(h history.History) Verdict {
 		return No
 	}
 	return Maybe
-}
-
-// WithFastTier enables or disables the log-linear fast tier inside the
-// incremental pipeline (default on; a no-op for models the tier does not
-// support). The tier short-circuits segment checks whose segment is the
-// whole history from the initial state, leaving all persistent-search,
-// retention and commit-cut state untouched; ambiguous histories fall back
-// to the exact engine and count FastTierFallbacks. Thin wrapper over
-// Config.NoFastTier.
-func WithFastTier(enabled bool) IncOption {
-	return func(inc *Incremental) {
-		inc.cfg.NoFastTier = !enabled
-	}
 }
 
 // fastTierSegment gives the log-linear tier first shot at a segment check.

@@ -29,10 +29,9 @@ import (
 //     sequential witness of the whole history that respects real time (every
 //     committed operation returned before every event of the segment). A
 //     resumed refutation is re-decided by a scratch search before it counts;
-//  4. staged fallback — if the exact segment check fails, the cheap sound
-//     necessary-condition monitor (NoDetector) and then the complete checker
-//     run on the full retained history, so the final verdict is exactly that
-//     of IsLinearizable on the whole history.
+//  4. fallback — if the exact segment check fails, the complete checker
+//     runs on the full retained history, so the final verdict is exactly
+//     that of IsLinearizable on the whole history.
 //
 // The frontier advances at quiescent cuts: points where no operation is
 // pending and the history so far is linearizable. Cutting at an arbitrary
@@ -55,8 +54,7 @@ import (
 // Incremental is not safe for concurrent use.
 type Incremental struct {
 	model  spec.Model
-	noDet  Monitor // sound necessary-condition monitor; nil if the model has none
-	cfg    Config  // as given; the fields below are derived from it at construction
+	cfg    Config // as given; the fields below are derived from it at construction
 	retain bool
 	policy RetentionPolicy
 
@@ -234,7 +232,6 @@ type IncStats struct {
 func NewIncremental(m spec.Model, opts ...IncOption) *Incremental {
 	inc := &Incremental{
 		model:     m,
-		noDet:     NoDetector(m),
 		frontier:  []spec.State{m.Init()},
 		searches:  make([]*segSearch, 1),
 		pendingOp: make(map[int]uint64),
@@ -393,17 +390,12 @@ func (inc *Incremental) admit(e history.Event) error {
 	return nil
 }
 
-// fallback decides the full retained history: the cheap sound No conditions
-// first, then the complete checker. It restores completeness after a failed
-// segment check (the frontier state may have been the wrong witness choice).
-// Full-witness mode only; retention keeps the frontier exact instead.
+// fallback decides the full retained history with the complete checker. It
+// restores completeness after a failed segment check (the frontier state may
+// have been the wrong witness choice). Full-witness mode only; retention
+// keeps the frontier exact instead.
 func (inc *Incremental) fallback() Verdict {
 	inc.stats.Fallbacks++
-	if inc.noDet != nil && inc.noDet.Check(inc.h) == No {
-		inc.gauges()
-		inc.verdict = No
-		return No
-	}
 	r := Linearizable(inc.model, inc.h)
 	if !r.Ok {
 		inc.gauges()

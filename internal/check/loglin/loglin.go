@@ -2,9 +2,8 @@
 // per-value-matched models (queue, stack, set, priority queue), after the
 // monitoring algorithms of "Efficient Decrease-and-Conquer Linearizability
 // Monitoring" (arXiv:2410.04581) and "Efficient Linearizability Monitoring"
-// (arXiv:2509.17795). It sits between the constant-factor necessary-condition
-// detectors (internal/check's fastqueue.go, setlin.go, canonical orders) and
-// the exponential Wing–Gong search: on an unambiguous history it returns a
+// (arXiv:2509.17795). It is internal/check's only fast tier, in front of the
+// exponential Wing–Gong search: on an unambiguous history it returns a
 // definitive Yes or No in O(n log n) comparisons, and on an ambiguous one it
 // returns an explicit fall-back signal instead of guessing.
 //

@@ -10,7 +10,7 @@ import (
 type Verdict int8
 
 const (
-	// No means provably not linearizable (a necessary condition failed).
+	// No means provably not linearizable.
 	No Verdict = iota + 1
 	// Maybe means the monitor could not decide.
 	Maybe
@@ -74,37 +74,14 @@ func (hy hybrid) Check(h history.History) Verdict {
 	return hy.full.Check(h)
 }
 
-// NoDetector returns the sound necessary-condition monitor for the model, or
-// nil if none is implemented. Its No answers are sound and cheap; it never
-// answers Yes. Both the staged ForModel composition and the incremental
-// pipeline use it as the pre-filter before the complete search.
-func NoDetector(m spec.Model) Monitor {
-	switch m.Name() {
-	case "counter":
-		return CounterNoDetector()
-	case "register":
-		return RegisterNoDetector(m.Init())
-	case "queue":
-		return QueueNoDetector()
-	case "stack":
-		return StackNoDetector()
-	default:
-		return nil
-	}
-}
-
-// ForModel returns the best monitor available for the model. The B7
-// benchmarks drive the composition: the constant-factor No-detectors refute
-// cheap violations first, then the log-linear decision tier (FastTier)
-// decides unambiguous histories outright, and only the ambiguous remainder
-// reaches the complete memoised search.
+// ForModel returns the best monitor available for the model: the log-linear
+// decision tier (FastTier) decides unambiguous histories outright and only
+// the ambiguous remainder reaches the complete memoised search. Models
+// outside the tier's fragment get the complete search alone. The B7
+// benchmarks drive this composition.
 func ForModel(m spec.Model) Monitor {
-	full := WG(m)
 	if ft := FastTier(m); ft != nil {
-		full = Hybrid(ft, full)
+		return Hybrid(ft, WG(m))
 	}
-	if det := NoDetector(m); det != nil {
-		return Hybrid(det, full)
-	}
-	return full
+	return WG(m)
 }

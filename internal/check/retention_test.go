@@ -409,13 +409,15 @@ func runTierOnOff(t *testing.T, m spec.Model, bursts []history.History, pol Rete
 	type pairMon struct{ on, off *Incremental }
 	pairs := make([]pairMon, len(widths))
 	for i, w := range widths {
-		base := []IncOption{WithRetention(pol)}
+		cfg := Config{Retain: true, Retention: pol}
 		if w > 1 {
-			base = append(base, WithParallelism(w))
+			cfg.Parallelism = w
 		}
+		offCfg := cfg
+		offCfg.NoFastTier = true
 		pairs[i] = pairMon{
-			on:  NewIncremental(m, base...),
-			off: NewIncremental(m, append(append([]IncOption{}, base...), WithFastTier(false))...),
+			on:  NewIncremental(m, WithConfig(cfg)),
+			off: NewIncremental(m, WithConfig(offCfg)),
 		}
 	}
 	for k, b := range bursts {

@@ -136,8 +136,8 @@ func FirstViolation(m spec.Model, h history.History) int {
 // ReplaySequential checks that a proposed sequential order of operations is
 // legal for the model, reproduces exactly the responses observed in h for
 // every complete operation, and respects the real-time order of h. It is the
-// verifier that makes fast monitors sound by construction: it never trusts
-// the responses claimed in lin, only those recorded in h.
+// independent check of a claimed witness: it never trusts the responses
+// claimed in lin, only those recorded in h.
 func ReplaySequential(m spec.Model, h history.History, lin []LinOp) bool {
 	observed := make(map[uint64]history.Op, len(lin))
 	for _, o := range h.Ops() {
