@@ -84,6 +84,11 @@ func (a *searchArena) reset() {
 // 32 is twice the default MaxFrontierStates, the most arenas one monitor
 // holds at once. (How large a kept arena can be is already bounded: tables
 // grow with the states a search explores, and StateBudget caps those.)
+// Measured at 0, 32 and 256 on linbench (EXPERIMENTS.md): objects_churn's
+// peak RSS and CPU per event do not move with the bound, since the free
+// list is per Shards and a parked monitor holds no arena; search_frontier
+// loses about 30 % of its event rate at 0 (no reuse) and gains nothing at
+// 256, so 32 stays.
 const maxPooledArenas = 32
 
 // arenaPool recycles searchArenas across searches. One pool serves one

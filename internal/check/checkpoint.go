@@ -3,6 +3,7 @@ package check
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/history"
 	"repro/internal/spec"
@@ -36,6 +37,7 @@ import (
 //   - pendingOp/seenIDs: both are pure functions of the retained window
 //     (GC already prunes them in lockstep with it), so restore re-derives
 //     them, and a disagreement inside the image cannot exist by construction.
+//     Park drops them for the same reason.
 //   - worker-slot diagnostics (WorkerStat): scheduling-dependent by contract.
 //
 // Restore validates everything it cannot re-derive — unknown model, config
@@ -504,4 +506,65 @@ func restorePlanner(pl *cutPlanner, img *PlannerImage) error {
 	}
 	pl.lastPos = img.LastPos
 	return nil
+}
+
+// Park shrinks an idle monitor to what a checkpoint image holds: the monitor
+// afterwards behaves exactly like RestoreIncremental(inc.Checkpoint()) — same
+// verdicts and the same IncStats under every future Append — and its image is
+// unchanged. What it drops is what restore rebuilds:
+//
+//   - the persistent segment searches, whose arenas go back to the pool (a
+//     Shards' shared one); the next segment check rebuilds each search over
+//     the current segment, as after a restore;
+//   - pendingOp and seenIDs, which the next non-empty Append re-derives from
+//     the window (ensureOpenOps);
+//   - the spare capacity of the window and the quiescent-boundary queue;
+//   - the state chains of the search that produced the frontier: every kept
+//     state (frontier, GC base, cut marks) is replaced by a spec.Detach copy,
+//     so the chain's arena chunks and successor caches become garbage.
+//
+// The monitoring service parks an object's monitor when its session says
+// bye. The object is not ended — a reopen appends to it as before.
+func (inc *Incremental) Park() {
+	inc.releaseSearches()
+	clear(inc.searches)
+	inc.pendingOp, inc.seenIDs = nil, nil
+	inc.h = slices.Clone(inc.h)
+	inc.cuts = slices.Clone(inc.cuts)
+
+	// Kept state sets alias one another (a cut's mark shares the frontier
+	// slice it committed; the GC base is a mark's), so each distinct slice is
+	// detached once and the aliasing survives.
+	detached := make(map[*spec.State][]spec.State)
+	detach := func(states []spec.State) []spec.State {
+		if len(states) == 0 {
+			return states
+		}
+		if d, ok := detached[&states[0]]; ok && len(d) == len(states) {
+			return d
+		}
+		d := make([]spec.State, len(states))
+		for i, st := range states {
+			d[i] = spec.Detach(st)
+		}
+		detached[&states[0]] = d
+		return d
+	}
+	inc.frontier = detach(inc.frontier)
+	inc.base = detach(inc.base)
+	for i := range inc.marks {
+		inc.marks[i].states = detach(inc.marks[i].states)
+	}
+}
+
+// ensureOpenOps rebuilds pendingOp and seenIDs after Park. The window of a
+// Yes monitor is well-formed by construction (admit accepted every event of
+// it), so a replay conflict here is a broken invariant, not bad input.
+func (inc *Incremental) ensureOpenOps() {
+	if inc.pendingOp != nil {
+		return
+	}
+	if err := inc.deriveOpenOps(); err != nil {
+		panic("check: parked window fails replay: " + err.Error())
+	}
 }

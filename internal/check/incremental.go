@@ -80,7 +80,7 @@ type Incremental struct {
 	respDropped int   // response events released by GC, cumulative
 	invDropped  []int // invocation events released by GC, per process, cumulative
 
-	pendingOp map[int]uint64 // proc -> id of its open invocation
+	pendingOp map[int]uint64 // proc -> id of its open invocation; nil while parked
 	seenIDs   map[uint64]struct{}
 
 	verdict Verdict
@@ -283,6 +283,7 @@ func (inc *Incremental) Append(delta history.History) Verdict {
 		// window at the violation so memory stays bounded.
 		if !inc.retain {
 			inc.h = append(inc.h, delta...)
+			inc.gauges()
 		}
 		inc.stats.Events += len(delta)
 		inc.stats.StickyNo++
@@ -292,6 +293,7 @@ func (inc *Incremental) Append(delta history.History) Verdict {
 		inc.stats.CachedNoOps++
 		return inc.verdict
 	}
+	inc.ensureOpenOps()
 	for i, e := range delta {
 		if err := inc.admit(e); err != nil {
 			inc.h = append(inc.h, delta[i:]...)

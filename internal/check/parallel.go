@@ -270,6 +270,7 @@ type Shards struct {
 	workers  int
 	verdicts []Verdict
 	pool     *arenaPool // search arenas shared by every shard (see adopt)
+	touched  []int      // Append's scratch: indexes of the shards given a delta
 }
 
 // NewShards builds one monitor per model, each configured with opts; workers
@@ -325,13 +326,22 @@ func (s *Shards) AddMonitor(inc *Incremental) int {
 
 // Append extends shard i with deltas[i] for every shard and returns the
 // per-shard verdicts (aliasing an internal slice valid until the next call).
-// A nil delta skips its shard; len(deltas) beyond the shard count is an
-// error by construction and ignored positions keep their last verdict.
+// A nil delta skips its shard, and deltas may be shorter than the shard
+// count: positions it does not reach keep their last verdict, as do those
+// beyond the shard count. Only the shards with a delta go to the pool, so a
+// round costs O(shards touched) — a round touching one shard runs inline —
+// however many idle shards the set holds.
 func (s *Shards) Append(deltas []history.History) []Verdict {
-	runParallel(len(s.monitors), s.workers, func(_, i int) {
-		if i < len(deltas) && deltas[i] != nil {
-			s.verdicts[i] = s.monitors[i].Append(deltas[i])
+	touched := s.touched[:0]
+	for i, d := range deltas[:min(len(deltas), len(s.monitors))] {
+		if d != nil {
+			touched = append(touched, i)
 		}
+	}
+	s.touched = touched
+	runParallel(len(touched), s.workers, func(_, k int) {
+		i := touched[k]
+		s.verdicts[i] = s.monitors[i].Append(deltas[i])
 	})
 	return s.verdicts
 }

@@ -7,6 +7,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -468,5 +469,107 @@ func TestBadFrames(t *testing.T) {
 				t.Fatalf("got %+v, want error containing %q", f, tc.want)
 			}
 		})
+	}
+}
+
+// TestByeCommitsStagedBatches: a raw client that says bye without waiting for
+// its acks still gets every ack before the stats frame, the stats count every
+// event it sent, and the bye's checkpoint is the object's last write — Close's
+// drain finds nothing left to save. The dispatcher is gated the way
+// TestOverload gates it (store reads block inside the open), so the batches
+// and the bye land in one absorb round with the batches still staged.
+func TestByeCommitsStagedBatches(t *testing.T) {
+	gate := make(chan struct{})
+	var release sync.Once
+	var writes atomic.Int64
+	ffs := ckpt.NewFaultFS(ckpt.NewMemFS()).Arm(func(op ckpt.Op, _ string) error {
+		switch op {
+		case ckpt.OpReadDir, ckpt.OpReadFile:
+			<-gate
+		case ckpt.OpCreate, ckpt.OpWrite, ckpt.OpRename:
+			writes.Add(1)
+		}
+		return nil
+	})
+	store, err := ckpt.NewStore(ffs, "state")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := startServer(t, monitorserver.Options{Store: store})
+	t.Cleanup(func() { release.Do(func() { close(gate) }) }) // before srv.Close
+	nc, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	if err := nc.SetDeadline(time.Now().Add(readDeadline)); err != nil {
+		t.Fatal(err)
+	}
+	enc := json.NewEncoder(nc)
+	if err := enc.Encode(monitorapi.ClientFrame{Type: monitorapi.FrameOpen, Open: &monitorapi.Open{
+		Version: 1, Tenant: "t", Object: "hasty", Model: "queue",
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	const nbatches = 3
+	for i := 1; i <= nbatches; i++ {
+		ev := []history.WireEvent{
+			{Kind: "inv", Proc: 1, ID: uint64(i), Op: "Enq", Arg: int64(i)},
+			{Kind: "ret", Proc: 1, ID: uint64(i), Op: "Enq", Arg: int64(i), Res: "ok"},
+		}
+		if err := enc.Encode(monitorapi.ClientFrame{Type: monitorapi.FrameEvents,
+			Batch: &monitorapi.EventBatch{Seq: uint64(i), Events: ev}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := enc.Encode(monitorapi.ClientFrame{Type: monitorapi.FrameBye}); err != nil {
+		t.Fatal(err)
+	}
+	// The batches, the bye and the reader's teardown all wait behind the
+	// blocked open before the dispatcher may run again.
+	queued := time.Now().Add(readDeadline)
+	for monitorserver.IngestLen(srv) < nbatches+2 {
+		if time.Now().After(queued) {
+			t.Fatal("frames never reached the ingest queue")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	release.Do(func() { close(gate) })
+
+	dec := json.NewDecoder(nc)
+	var acked uint64
+	for {
+		var f monitorapi.ServerFrame
+		if err := dec.Decode(&f); err != nil {
+			t.Fatalf("after %d acks: %v", acked, err)
+		}
+		switch f.Type {
+		case monitorapi.FrameHello, monitorapi.FrameGauge:
+			continue
+		case monitorapi.FrameAck:
+			if f.Seq != acked+1 {
+				t.Fatalf("ack %d after ack %d", f.Seq, acked)
+			}
+			acked = f.Seq
+			continue
+		case monitorapi.FrameStats:
+		default:
+			t.Fatalf("unexpected frame %+v", f)
+		}
+		if acked != nbatches {
+			t.Fatalf("stats after %d of %d acks", acked, nbatches)
+		}
+		if f.Stats == nil || f.Stats.Check.Events != 2*nbatches {
+			t.Fatalf("stats %+v, want %d events counted", f.Stats, 2*nbatches)
+		}
+		break
+	}
+	saved := writes.Load()
+	if saved == 0 {
+		t.Fatal("bye wrote no checkpoint")
+	}
+	srv.Close()
+	if w := writes.Load(); w != saved {
+		t.Fatalf("store written %d times after the stats frame", w-saved)
 	}
 }

@@ -382,9 +382,12 @@ type pendingAck struct {
 
 // roundBuf is one absorb round's staged work: the per-shard deltas the pool
 // will apply in a single Shards.Append, and the acks owed once that round
-// commits.
+// commits. deltas is kept across rounds and only as long as the highest
+// shard ever staged; filled lists the entries this round set, so resetting
+// it costs the shards touched, not the shards held.
 type roundBuf struct {
 	deltas []history.History
+	filled []int
 	acks   []pendingAck
 }
 
@@ -435,6 +438,13 @@ func (s *Server) dispatch() {
 				batched++
 			case opBye:
 				if obj := msg.sess.obj; obj != nil && obj.sess == msg.sess {
+					// A bye commits the object's batches still staged in this
+					// round first (a client may say bye without draining its
+					// acks), so the stats frame counts every batch the session
+					// sent and follows every ack.
+					if obj.staged > 0 {
+						s.apply(shards, cur)
+					}
 					// A graceful bye leaves the object durable through its
 					// last ack before the stats frame goes out, so once a
 					// client's Close returns nothing more is written for the
@@ -448,6 +458,9 @@ func (s *Server) dispatch() {
 						Type: monitorapi.FrameStats, Verdict: sh.Verdict().String(),
 						Stats: &monitorapi.Stats{Check: sh.Stats()},
 					}, s)
+					// The object stays (a reopen resumes it), but until then
+					// it holds only what a checkpoint would.
+					sh.Park()
 				}
 			case opGone:
 				if obj := msg.sess.obj; obj != nil && obj.sess == msg.sess {
@@ -506,8 +519,11 @@ func (s *Server) stageBatch(shards *check.Shards, msg ingestMsg, cur *roundBuf) 
 			fmt.Sprintf("batch gap: got seq %d, want %d", msg.seq, expect))
 		return
 	}
-	for len(cur.deltas) < shards.Len() {
+	for len(cur.deltas) <= obj.shard {
 		cur.deltas = append(cur.deltas, nil)
+	}
+	if cur.deltas[obj.shard] == nil {
+		cur.filled = append(cur.filled, obj.shard)
 	}
 	cur.deltas[obj.shard] = append(cur.deltas[obj.shard], msg.h...)
 	obj.staged++
@@ -699,9 +715,12 @@ func (s *Server) apply(shards *check.Shards, r *roundBuf) {
 			}, s)
 		}
 	}
-	// Keep the backing arrays; stageBatch re-pads the per-shard entries with
-	// nil, so event slices are never shared across rounds.
-	r.deltas = r.deltas[:0]
+	// Keep the backing arrays, but nil the entries this round filled, so
+	// event slices are never shared across rounds.
+	for _, i := range r.filled {
+		r.deltas[i] = nil
+	}
+	r.filled = r.filled[:0]
 	r.acks = r.acks[:0]
 }
 
