@@ -1,8 +1,9 @@
 // Command linmond runs the networked monitoring service: a daemon that
 // accepts NDJSON monitoring sessions (internal/monitorapi), maintains one
-// incremental linearizability monitor per tenant/object, fans independent
-// objects across a shared worker pool, and streams verdicts, resource gauges
-// and final stats back to each client.
+// incremental linearizability monitor per tenant/object, runs the objects'
+// jobs on a pool of worker goroutines so that no object waits for another's
+// search or checkpoint, and streams verdicts, resource gauges and final stats
+// back to each client.
 //
 // Usage:
 //
@@ -42,7 +43,7 @@ func main() {
 
 func run() int {
 	listen := flag.String("listen", "127.0.0.1:7474", "address to listen on")
-	workers := flag.Int("workers", 1, "cross-object worker pool width")
+	workers := flag.Int("workers", 1, "worker goroutines that run objects' jobs (searches and periodic checkpoints)")
 	queue := flag.Int("queue", 256, "global ingest queue depth (batches)")
 	window := flag.Int("window", 8, "default per-session credit window (max unacked batches)")
 	gaugeEvery := flag.Int("gauge-every", 16, "stream a gauge frame every n acks (<0 disables)")

@@ -532,9 +532,8 @@ func (inc *Incremental) Park() {
 	inc.h = slices.Clone(inc.h)
 	inc.cuts = slices.Clone(inc.cuts)
 
-	// Kept state sets alias one another (a cut's mark shares the frontier
-	// slice it committed; the GC base is a mark's), so each distinct slice is
-	// detached once and the aliasing survives.
+	// Kept state sets may alias one another (the GC base is a mark's), so
+	// each distinct slice is detached once and the aliasing survives.
 	detached := make(map[*spec.State][]spec.State)
 	detach := func(states []spec.State) []spec.State {
 		if len(states) == 0 {

@@ -414,6 +414,5 @@ func (inc *Incremental) commitCutAt(c commitCut) {
 	inc.installFrontier(cut, next)
 	inc.stats.CommitCuts++
 	inc.stats.CarriedOps += len(c.carried)
-	inc.marks = append(inc.marks, cutMark{idx: inc.cutIdx, states: next})
 	inc.gc()
 }

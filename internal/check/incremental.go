@@ -524,7 +524,6 @@ func (inc *Incremental) compactTo(end int) {
 		return // keep the old cut; retry at the next quiescent point
 	}
 	inc.installFrontier(end, next)
-	inc.marks = append(inc.marks, cutMark{idx: inc.cutIdx, states: next})
 	inc.gc()
 }
 
@@ -608,15 +607,33 @@ func (inc *Incremental) enumerateFrontier(piece history.History, wholeSegment bo
 
 // installFrontier commits the frontier at cut with the given exact state
 // set, dropping the per-state searches (the next segment check rebuilds them
-// over the shrunk segment). Retention-mode cuts only.
+// over the shrunk segment), and records the cut as a GC mark. Retention-mode
+// cuts only.
+//
+// The enumeration's states are never kept themselves. Each one belongs to
+// the walk's chain: its successor caches and the chain's arena chunks reach
+// every state the walk visited, so keeping one would keep the whole walk
+// until the next cut. The frontier and the mark get spec.Detach copies
+// instead, one each: a frontier state becomes a search root and grows a
+// chain of its own, which a mark (and through gc, the base) must not pin.
 func (inc *Incremental) installFrontier(cut int, states []spec.State) {
 	inc.releaseSearches()
 	inc.cutIdx = cut
-	inc.frontier = states
+	inc.frontier = detachStates(states)
+	inc.marks = append(inc.marks, cutMark{idx: cut, states: detachStates(states)})
 	inc.searches = make([]*segSearch, len(states))
 	inc.dead = make([]bool, len(states))
 	inc.stats.Compactions++
 	inc.stats.FrontierStates = len(states)
+}
+
+// detachStates returns spec.Detach copies of states in a fresh slice.
+func detachStates(states []spec.State) []spec.State {
+	d := make([]spec.State, len(states))
+	for i, st := range states {
+		d[i] = spec.Detach(st)
+	}
+	return d
 }
 
 // compactWitness folds the witness of the piece up to end into a single
@@ -793,7 +810,9 @@ func (inc *Incremental) ReloadWindow(h history.History) Verdict {
 		return inc.Reset(h)
 	}
 	defer inc.gauges() // advanceCuts below can collect part of the window
-	if !inc.reload(h, append([]spec.State(nil), inc.base...)) {
+	// The reloaded frontier roots new searches; detached copies keep their
+	// chains off the base, which later reloads start from again.
+	if !inc.reload(h, detachStates(inc.base)) {
 		return No
 	}
 	if len(h) == 0 {

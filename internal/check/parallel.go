@@ -264,7 +264,16 @@ func (inc *Incremental) commit(i int, o segOutcome) bool {
 // control is needed; the join's WaitGroup hands each monitor back before the
 // next Append touches it.
 //
-// Shards itself is not safe for concurrent use: one caller drives Append.
+// Shards is also a registry: a driver may instead take each monitor with
+// Shard and run it itself, as the monitoring service does on its worker
+// goroutines, with the monitors still sharing the set's arena pool. Either
+// way each monitor is driven by one goroutine at a time, and the set's
+// per-shard verdict cache covers only Append: a monitor driven outside it
+// keeps its own verdict (Incremental.Verdict), which Shards.Verdict does not
+// see.
+//
+// Shards itself is not safe for concurrent use: one goroutine calls Append,
+// Add and AddMonitor.
 type Shards struct {
 	monitors []*Incremental
 	workers  int
@@ -306,8 +315,8 @@ func (s *Shards) adopt(inc *Incremental) *Incremental {
 // Add appends a fresh monitor for m, configured with opts, to the shard set
 // and returns its index. The per-shard verdict starts at Yes (the empty
 // history is a member). Like Append, Add must be called by the single
-// driving goroutine — the monitoring service funnels both through its
-// dispatcher.
+// driving goroutine — the monitoring service calls it on its dispatcher
+// while its workers run other monitors, which Add does not touch.
 func (s *Shards) Add(m spec.Model, opts ...IncOption) int {
 	s.monitors = append(s.monitors, s.adopt(NewIncremental(m, opts...)))
 	s.verdicts = append(s.verdicts, Yes)
@@ -349,8 +358,9 @@ func (s *Shards) Append(deltas []history.History) []Verdict {
 // Len returns the shard count.
 func (s *Shards) Len() int { return len(s.monitors) }
 
-// Shard returns shard i's monitor. Callers may inspect it between Append
-// calls; driving it concurrently with Append is a race.
+// Shard returns shard i's monitor. Callers may inspect or drive it between
+// Append calls, from one goroutine at a time; touching it concurrently with
+// Append, or from two goroutines at once, is a race.
 func (s *Shards) Shard(i int) *Incremental { return s.monitors[i] }
 
 // Verdict folds the shards: No if any shard is No, else Yes.

@@ -3,6 +3,7 @@ package ckpt
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 )
 
 // Op names one filesystem operation class for fault injection.
@@ -58,8 +59,11 @@ var ErrCrashed = errors.New("ckpt: crashed (injected)")
 // writes a prefix of the buffer through, modelling a torn page-level write
 // that a later checksum must catch.
 //
-// The hook is called under a mutex, so countdown-style hooks need no own
-// locking even when the store is driven from several goroutines.
+// The hook is called outside FaultFS's own lock, so a hook may hold one
+// operation (a test blocking one key's writes) while other goroutines'
+// operations go through. A hook that keeps state therefore needs its own
+// locking when the store is driven from several goroutines, as the
+// monitoring service does; FailN's countdown has it.
 type FaultFS struct {
 	Inner FS
 
@@ -88,13 +92,9 @@ func (f *FaultFS) Arm(fail func(op Op, path string) error) *FaultFS {
 // FailN arms a hook that injects err on the n-th subsequent operation of
 // class op (1-based), counting only that class, then disarms itself.
 func (f *FaultFS) FailN(op Op, n int, err error) *FaultFS {
-	seen := 0
+	var seen atomic.Int64
 	return f.Arm(func(o Op, _ string) error {
-		if o != op {
-			return nil
-		}
-		seen++
-		if seen == n {
+		if o == op && seen.Add(1) == int64(n) {
 			return err
 		}
 		return nil
@@ -103,12 +103,13 @@ func (f *FaultFS) FailN(op Op, n int, err error) *FaultFS {
 
 func (f *FaultFS) check(op Op, path string) (error, bool) {
 	f.mu.Lock()
-	defer f.mu.Unlock()
 	f.Ops[op]++
-	if f.Fail == nil {
-		return nil, f.Torn
+	fail, torn := f.Fail, f.Torn
+	f.mu.Unlock()
+	if fail == nil {
+		return nil, torn
 	}
-	return f.Fail(op, path), f.Torn
+	return fail(op, path), torn
 }
 
 func (f *FaultFS) MkdirAll(path string) error {

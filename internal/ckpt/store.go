@@ -52,8 +52,8 @@ var ErrNoCheckpoint = errors.New("ckpt: no intact checkpoint")
 
 // Store reads and writes checkpoint envelopes under one directory.
 // Concurrent use is safe only per-key-single-writer (the CAS rule serialises
-// accidental violations); the monitoring service funnels all saves through
-// its dispatcher.
+// accidental violations); the monitoring service saves different objects
+// concurrently, each from one goroutine at a time.
 type Store struct {
 	fs  FS
 	dir string

@@ -3,11 +3,14 @@ package monitorserver_test
 import (
 	"fmt"
 	"net"
+	"sync"
 	"testing"
 
+	"repro/internal/check"
 	"repro/internal/monitorclient"
 	"repro/internal/monitorserver"
 	"repro/internal/spec"
+	"repro/internal/trace"
 )
 
 // BenchmarkLoopbackIngest measures the whole loopback ingest path — client
@@ -52,4 +55,63 @@ func BenchmarkLoopbackIngest(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkLoopbackTwoObjects is search_frontier in miniature: an in-process
+// server with two workers and two sessions, each streaming its own object's
+// trace.FrontierRounds stream one burst per batch with one batch in flight.
+// Almost all the work is exact search, so events/s measures how far the two
+// objects' searches overlap: with per-object jobs neither session waits for
+// the other's search. One iteration streams both sessions to the end on
+// fresh objects.
+func BenchmarkLoopbackTwoObjects(b *testing.B) {
+	const rounds = 16
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := monitorserver.Serve(ln, monitorserver.Options{
+		Workers:    2,
+		Logf:       func(string, ...any) {},
+		GaugeEvery: -1,
+	})
+	defer srv.Close()
+
+	bursts := trace.FrontierRounds(rounds, false)
+	events := 0
+	for _, burst := range bursts {
+		events += len(burst)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var wg sync.WaitGroup
+		errs := make(chan error, 2)
+		for s := range 2 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				sess, err := monitorclient.Dial(srv.Addr().String(), "bench", fmt.Sprintf("o%d-%d", i, s), "queue",
+					monitorclient.WithConfig(check.Config{Retain: true}), monitorclient.WithWindow(1))
+				if err != nil {
+					errs <- err
+					return
+				}
+				for _, burst := range bursts {
+					if err := sess.Send(burst); err != nil {
+						errs <- err
+						return
+					}
+				}
+				if v, err := sess.Close(); err != nil || v != check.Yes {
+					errs <- fmt.Errorf("verdict %v, err %v", v, err)
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(2*events*b.N)/b.Elapsed().Seconds(), "events/s")
 }

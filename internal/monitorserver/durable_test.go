@@ -297,7 +297,7 @@ func TestDurableLostTailIsLoud(t *testing.T) {
 		bs := batches(h, 30)
 
 		// A checkpoint every batch makes every ack durable through its own
-		// batch, whatever rounds the batches share. With a coarser cadence
+		// batch, whatever jobs the batches share. With a coarser cadence
 		// the last ack can lag the applied tail, and the drain checkpoint of
 		// the restart then writes a newer intact generation than the one
 		// this test corrupts.

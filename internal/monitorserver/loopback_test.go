@@ -477,7 +477,8 @@ func TestBadFrames(t *testing.T) {
 // event it sent, and the bye's checkpoint is the object's last write — Close's
 // drain finds nothing left to save. The dispatcher is gated the way
 // TestOverload gates it (store reads block inside the open), so the batches
-// and the bye land in one absorb round with the batches still staged.
+// and the bye are all queued when it resumes, and the bye arrives while the
+// batches are still staged or out on a worker.
 func TestByeCommitsStagedBatches(t *testing.T) {
 	gate := make(chan struct{})
 	var release sync.Once

@@ -1,17 +1,26 @@
 // Package monitorserver is the linmond monitoring service: it accepts NDJSON
-// sessions (internal/monitorapi), multiplexes per-tenant/per-object monitor
-// instances through one shared worker pool (check.Shards), and streams
-// verdicts, gauges and stats back to clients.
+// sessions (internal/monitorapi), runs one monitor per tenant/object on a
+// pool of worker goroutines, and streams verdicts, gauges and stats back to
+// clients.
 //
-// Concurrency model. One dispatcher goroutine owns the Shards value — every
-// monitor access, including Shards.Add, happens on it, which is exactly the
-// single-driving-goroutine contract Shards documents. Per-connection reader
-// goroutines decode frames, convert events (history.FromWire) and queue work
-// on a bounded global ingest channel; per-connection writer goroutines drain
-// bounded per-session output queues. The dispatcher groups queued batches by
-// shard and applies them with one Shards.Append per absorb round — the
-// service-level analogue of Decoupled's chunked absorb: cross-object work
-// fans out across the pool while each object's stream stays sequential.
+// Concurrency model. One dispatcher goroutine owns every object's
+// bookkeeping — applied and durable cursors, cached verdict, session binding
+// — and the check.Shards registry, so Shards.Add never races. Options.Workers
+// worker goroutines run objects' jobs: a job is one Append of the batches an
+// object staged since its last job, plus a periodic checkpoint when one is
+// due. An object has at most one job out, and its monitor belongs to that
+// job's worker until the job comes back — one goroutine per monitor at a
+// time, which is the contract Shards documents. The dispatcher stages each
+// batch on its object and hands the object to a free worker when it has no
+// job out; batches that arrive meanwhile concatenate into the object's next
+// job, so an object's stream stays ordered while different objects never
+// wait for each other's searches or fsyncs. Each job is committed (cursors,
+// durability, acks, gauges) on the dispatcher as it comes back. An open or
+// bye of an object, and the drain of Close, first settle it: the dispatcher
+// waits for that object's jobs only, after which it may read the monitor.
+// Per-connection reader goroutines decode frames, convert events
+// (history.FromWire) and queue work on a bounded global ingest channel;
+// per-connection writer goroutines drain bounded per-session output queues.
 //
 // Backpressure. Three bounds keep server memory finite under slow or hostile
 // clients:
@@ -50,8 +59,9 @@ import (
 // Options configures a Server. The zero value is usable; unset fields take
 // the defaults documented on each.
 type Options struct {
-	// Workers bounds the cross-shard fan-out of the shared pool (default 1:
-	// shards run inline on the dispatcher).
+	// Workers is the number of worker goroutines that run objects' jobs
+	// (default 1): at most this many objects' searches and periodic
+	// checkpoints run at once.
 	Workers int
 	// QueueDepth bounds the global ingest channel (default 256 batches).
 	QueueDepth int
@@ -99,26 +109,6 @@ func (o Options) withDefaults() Options {
 		o.Logf = log.Printf
 	}
 	return o
-}
-
-// object is one monitored tenant/object stream: a shard index into the
-// dispatcher's Shards plus resume bookkeeping. Dispatcher-owned.
-type object struct {
-	shard   int
-	tenant  string
-	name    string
-	model   string
-	cfg     check.Config
-	applied uint64   // highest batch seq applied (committed)
-	staged  uint64   // batches staged into the absorb round being assembled
-	sess    *session // active session, nil when detached
-	token   uint64   // hello.Session of the latest attachment
-
-	// Durability bookkeeping (Options.Store; all dispatcher-owned).
-	key       string // store key (tenant + NUL + object)
-	gen       uint64 // newest store generation this instance wrote or restored
-	durable   uint64 // highest batch seq covered by a durable checkpoint
-	sinceCkpt int    // batches applied since the last successful checkpoint
 }
 
 // ingestMsg is one unit of dispatcher work, queued by reader goroutines.
@@ -370,136 +360,285 @@ func (s *Server) abort(sess *session, frameType, msg string) {
 	sess.shutdownRead()
 }
 
-// absorbChunk bounds one absorb round, mirroring Decoupled's chunked absorb:
-// the dispatcher re-checks the world every chunk instead of starving acks
-// behind an unbounded drain.
-const absorbChunk = 32
+// object is one monitored tenant/object stream: its monitor plus resume and
+// run-queue bookkeeping. Everything is dispatcher-owned, except that while a
+// job of the object is out the worker running it owns inc; the identity
+// fields (tenant through key) never change once the object exists.
+type object struct {
+	inc    *check.Incremental // registered in the dispatcher's Shards
+	tenant string
+	name   string
+	model  string
+	cfg    check.Config
+	key    string // store key (tenant + NUL + object)
 
-type pendingAck struct {
-	sess *session
-	seq  uint64
+	applied uint64        // highest batch seq applied (committed)
+	staged  int           // batches accepted but not committed: in the job out, or in next
+	verdict check.Verdict // the monitor's verdict as of the last committed job
+	sess    *session      // active session, nil when detached
+	token   uint64        // hello.Session of the latest attachment
+
+	// The batches staged since the object's last job, concatenated in seq
+	// order. They wait here until the object has no job out and a worker is
+	// free; an object with batches here and no job out is on the run queue.
+	next  history.History
+	nextN int // batches in next
+
+	// Durability bookkeeping (Options.Store).
+	gen       uint64 // newest store generation this instance wrote or restored
+	durable   uint64 // highest batch seq covered by a durable checkpoint
+	sinceCkpt int    // batches applied since the last checkpoint attempt
 }
 
-// roundBuf is one absorb round's staged work: the per-shard deltas the pool
-// will apply in a single Shards.Append, and the acks owed once that round
-// commits. deltas is kept across rounds and only as long as the highest
-// shard ever staged; filled lists the entries this round set, so resetting
-// it costs the shards touched, not the shards held.
-type roundBuf struct {
-	deltas []history.History
-	filled []int
-	acks   []pendingAck
+// running reports whether a job of the object is out on a worker: the
+// staged batches not waiting in next are that job's.
+func (o *object) running() bool { return o.staged > o.nextN }
+
+// job is one run of an object's monitor on a worker: one Append of the
+// batches staged since the object's last job, then a periodic checkpoint
+// when one is due. The dispatcher fills in the input and hands the job over
+// on jobs; the worker fills in the results and hands it back on done.
+type job struct {
+	obj   *object
+	delta history.History
+	n     int    // batches in delta
+	last  uint64 // seq of delta's last batch
+	save  bool   // checkpoint after the Append
+	gen   uint64 // store generation the checkpoint expects
+
+	verdict check.Verdict
+	saved   uint64 // generation written, when save succeeded
+	err     error  // why save failed
 }
 
-// dispatch is the dispatcher goroutine: sole owner of the Shards value and
-// of every object's applied/session state. Each round drains the queued
-// ingest (bounded by absorbChunk) into per-shard deltas and applies them
-// with one Shards.Append, so independent objects overlap on the pool.
+// dispatcher is the state of the dispatcher goroutine: the only goroutine
+// that touches objects, sessions' object bindings and the Shards registry.
+// At most Options.Workers jobs are out at once, so jobs and done, each with
+// that capacity, never block a send; objects with staged batches wait for a
+// free worker on runq, in FIFO order.
+type dispatcher struct {
+	srv     *Server
+	shards  *check.Shards
+	objects map[string]*object
+	jobs    chan *job
+	done    chan *job
+	out     int       // jobs handed out and not yet finished
+	runq    []*object // non-empty only while out == cap(jobs)
+	workers sync.WaitGroup
+}
+
+// dispatch is the dispatcher goroutine. It stages each batch on its object
+// and hands the object to a worker whenever it has staged batches and no
+// job out, so objects never wait for each other's searches or checkpoints,
+// and commits each finished job — cursors, durability, acks, gauges — as it
+// comes back.
 func (s *Server) dispatch() {
 	defer close(s.done)
-	shards := check.NewShards(nil, s.opts.Workers)
-	objects := make(map[string]*object)
-	// Final checkpoints on drain: Close (and therefore SIGTERM in linmond)
-	// closes the ingest channel after the readers stop, so every applied
-	// batch is already committed when this runs — the graceful path loses
-	// nothing, and the next instance's hello.Acked equals the last ack sent.
-	defer func() {
-		if s.opts.Store == nil {
-			return
+	d := &dispatcher{
+		srv: s,
+		// A registry and a shared arena pool only: the workers below run the
+		// monitors, Shards.Append is never called.
+		shards:  check.NewShards(nil, 1),
+		objects: make(map[string]*object),
+		jobs:    make(chan *job, s.opts.Workers),
+		done:    make(chan *job, s.opts.Workers),
+	}
+	for range s.opts.Workers {
+		d.workers.Add(1)
+		go d.work()
+	}
+	for {
+		select {
+		case msg, ok := <-s.ingest:
+			if !ok {
+				d.drain()
+				return
+			}
+			d.handle(msg)
+		case j := <-d.done:
+			d.finish(j)
 		}
-		for _, obj := range objects {
-			if obj.applied > obj.durable {
-				s.checkpoint(shards, obj)
-			}
-		}
-	}()
-
-	cur := &roundBuf{}
-	msg, ok := <-s.ingest
-	for ok {
-		// One absorb round, staged into cur.
-		batched := 0
-		for {
-			switch msg.op {
-			case opOpen:
-				// A reopen's hello.Acked must count the batches its object
-				// has staged in the round being assembled. Otherwise the
-				// resumed session resends them, the resends are dropped as
-				// duplicates, and their acks go to the session that first
-				// sent them.
-				if o := msg.open; o != nil {
-					if obj := objects[o.Tenant+"\x00"+o.Object]; obj != nil && obj.staged > 0 {
-						s.apply(shards, cur)
-					}
-				}
-				s.handleOpen(shards, objects, msg)
-			case opBatch:
-				s.stageBatch(shards, msg, cur)
-				batched++
-			case opBye:
-				if obj := msg.sess.obj; obj != nil && obj.sess == msg.sess {
-					// A bye commits the object's batches still staged in this
-					// round first (a client may say bye without draining its
-					// acks), so the stats frame counts every batch the session
-					// sent and follows every ack.
-					if obj.staged > 0 {
-						s.apply(shards, cur)
-					}
-					// A graceful bye leaves the object durable through its
-					// last ack before the stats frame goes out, so once a
-					// client's Close returns nothing more is written for the
-					// object until a new session applies batches — not even
-					// by the drain checkpoint of Close.
-					if s.opts.Store != nil && obj.applied > obj.durable {
-						s.checkpoint(shards, obj)
-					}
-					sh := shards.Shard(obj.shard)
-					msg.sess.enqueue(monitorapi.ServerFrame{
-						Type: monitorapi.FrameStats, Verdict: sh.Verdict().String(),
-						Stats: &monitorapi.Stats{Check: sh.Stats()},
-					}, s)
-					// The object stays (a reopen resumes it), but until then
-					// it holds only what a checkpoint would.
-					sh.Park()
-				}
-			case opGone:
-				if obj := msg.sess.obj; obj != nil && obj.sess == msg.sess {
-					obj.sess = nil // object stays; a reconnect resumes it
-				}
-				close(msg.sess.out) // last message of the session: writer drains and exits
-			}
-			if batched >= absorbChunk {
-				break
-			}
-			// Keep absorbing while more work is already queued.
-			var more bool
-			select {
-			case msg, more = <-s.ingest:
-				if !more {
-					s.apply(shards, cur)
-					return
-				}
-				continue
-			default:
-			}
-			break
-		}
-		s.apply(shards, cur)
-		msg, ok = <-s.ingest
 	}
 }
 
-// stageBatch validates one batch's sequencing and stages its events into the
-// round's per-shard delta. Replays (seq already applied) are acked without
-// re-applying — that is what makes client resend-after-reconnect exactly-once.
-// The replay ack carries the monitor's verdict as of the last committed
-// round: nothing staged reaches the monitor before the round is applied.
-func (s *Server) stageBatch(shards *check.Shards, msg ingestMsg, cur *roundBuf) {
+// handle runs one ingest message.
+func (d *dispatcher) handle(msg ingestMsg) {
+	switch msg.op {
+	case opOpen:
+		d.open(msg)
+	case opBatch:
+		d.stage(msg)
+	case opBye:
+		obj := msg.sess.obj
+		if obj == nil || obj.sess != msg.sess {
+			return
+		}
+		// A bye commits the object's staged batches first (a client may say
+		// bye without draining its acks), so the stats frame counts every
+		// batch the session sent and follows every ack.
+		d.settle(obj)
+		// A graceful bye leaves the object durable through its last ack
+		// before the stats frame goes out, so once a client's Close returns
+		// nothing more is written for the object until a new session applies
+		// batches — not even by the drain checkpoint of Close.
+		if d.srv.opts.Store != nil && obj.applied > obj.durable {
+			d.checkpoint(obj)
+		}
+		msg.sess.enqueue(monitorapi.ServerFrame{
+			Type: monitorapi.FrameStats, Verdict: obj.verdict.String(),
+			Stats: &monitorapi.Stats{Check: obj.inc.Stats()},
+		}, d.srv)
+		// The object stays (a reopen resumes it), but until then it holds
+		// only what a checkpoint would. The session is done with it: a
+		// client whose Close returned may reopen the object before this
+		// session's teardown (opGone) reaches the dispatcher, and must not
+		// find its own old session still attached.
+		obj.inc.Park()
+		obj.sess = nil
+	case opGone:
+		if obj := msg.sess.obj; obj != nil && obj.sess == msg.sess {
+			obj.sess = nil // object stays; a reconnect resumes it
+		}
+		close(msg.sess.out) // last message of the session: writer drains and exits
+	}
+}
+
+// work is a worker goroutine: it runs jobs until the dispatcher closes jobs.
+func (d *dispatcher) work() {
+	defer d.workers.Done()
+	for j := range d.jobs {
+		j.verdict = j.obj.inc.Append(j.delta)
+		if j.save {
+			j.saved, j.err = d.srv.save(j.obj, j.last, j.gen)
+		}
+		d.done <- j
+	}
+}
+
+// launch hands obj's staged batches to a worker as one job. The caller
+// guarantees a free worker and that obj has no job out.
+func (d *dispatcher) launch(obj *object) {
+	j := &job{obj: obj, delta: obj.next, n: obj.nextN, last: obj.applied + uint64(obj.nextN)}
+	obj.next, obj.nextN = nil, 0
+	obj.sinceCkpt += j.n
+	if d.srv.opts.Store != nil && obj.sinceCkpt >= d.srv.opts.CheckpointEvery {
+		j.save, j.gen = true, obj.gen
+		obj.sinceCkpt = 0
+	}
+	d.out++
+	d.jobs <- j
+}
+
+// pump launches waiting objects while workers are free.
+func (d *dispatcher) pump() {
+	for d.out < cap(d.jobs) && len(d.runq) > 0 {
+		obj := d.runq[0]
+		d.runq[0] = nil
+		d.runq = d.runq[1:]
+		d.launch(obj)
+	}
+}
+
+// ready puts obj, which has staged batches and no job out, on the run queue.
+func (d *dispatcher) ready(obj *object) {
+	d.runq = append(d.runq, obj)
+	d.pump()
+}
+
+// finish commits a job that came back: the applied cursor and the cached
+// verdict advance, a checkpoint it took makes the object durable through the
+// job's last batch, and then the batches' acks and gauges go out — so an
+// ack's Durable reflects its own job's checkpoint. The monitor consumed the
+// batches whether or not their session is still attached, so applied
+// advances either way and a reconnect does not re-apply them; acks go to the
+// attached session, which is the one that sent them (a new session attaches
+// only to a settled object). Batches staged while the job ran relaunch the
+// object.
+func (d *dispatcher) finish(j *job) {
+	d.out--
+	obj := j.obj
+	obj.applied = j.last
+	obj.staged -= j.n
+	obj.verdict = j.verdict
+	if j.save {
+		d.saved(obj, j.last, j.saved, j.err)
+	}
+	if sess := obj.sess; sess != nil {
+		opts := &d.srv.opts
+		for seq := j.last - uint64(j.n) + 1; seq <= j.last; seq++ {
+			sess.acks++
+			sess.enqueue(monitorapi.ServerFrame{
+				Type: monitorapi.FrameAck, Seq: seq,
+				Verdict: j.verdict.String(),
+				Durable: obj.durable,
+			}, d.srv)
+			if opts.GaugeEvery > 0 && sess.acks%opts.GaugeEvery == 0 {
+				st := obj.inc.Stats()
+				sess.enqueue(monitorapi.ServerFrame{
+					Type: monitorapi.FrameGauge, Seq: seq,
+					Gauge: &monitorapi.Gauge{
+						RetainedEvents: st.RetainedEvents,
+						RetainedBytes:  st.RetainedBytes,
+						FrontierStates: st.FrontierStates,
+					},
+				}, d.srv)
+			}
+		}
+	}
+	if obj.nextN > 0 {
+		d.ready(obj)
+	} else {
+		d.pump()
+	}
+}
+
+// settle returns once obj has no job out and nothing staged: every batch it
+// accepted is committed and acked, and its monitor is the dispatcher's to
+// read. It waits for obj's jobs only. Other objects' jobs that come back
+// meanwhile are committed (and relaunched) as usual; nothing new is read
+// from the ingest queue until it returns.
+func (d *dispatcher) settle(obj *object) {
+	// Staged batches are on a job out or on the run queue, and the run queue
+	// is non-empty only while every worker is busy, so a job always comes
+	// back.
+	for obj.staged > 0 {
+		d.finish(<-d.done)
+	}
+}
+
+// drain runs when Close has stopped every reader: it waits for all jobs,
+// stops the workers and takes the final checkpoints. Every applied batch is
+// committed by then, so the graceful path (Close, and SIGTERM in linmond)
+// loses nothing, and the next instance's hello.Acked equals the last ack
+// sent.
+func (d *dispatcher) drain() {
+	for d.out > 0 {
+		d.finish(<-d.done)
+	}
+	close(d.jobs)
+	d.workers.Wait()
+	if d.srv.opts.Store == nil {
+		return
+	}
+	for _, obj := range d.objects {
+		if obj.applied > obj.durable {
+			d.checkpoint(obj)
+		}
+	}
+}
+
+// stage validates one batch's sequencing and stages its events on its
+// object, readying the object if it has no job out. Replays (seq already
+// applied) are acked without re-applying — that is what makes client
+// resend-after-reconnect exactly-once. A replay ack carries the object's
+// cached verdict, as of its last committed job: a job may be out on the
+// monitor, which the dispatcher then must not read.
+func (d *dispatcher) stage(msg ingestMsg) {
 	obj := msg.sess.obj
 	if obj == nil || obj.sess != msg.sess {
 		return // session aborted or superseded; drop
 	}
-	expect := obj.applied + obj.staged + 1
+	expect := obj.applied + uint64(obj.staged) + 1
 	if msg.seq != expect {
 		if msg.seq <= obj.applied {
 			// Replay of an applied batch (a resend that raced its ack, or a
@@ -507,30 +646,37 @@ func (s *Server) stageBatch(shards *check.Shards, msg ingestMsg, cur *roundBuf) 
 			// ack without re-applying.
 			msg.sess.enqueue(monitorapi.ServerFrame{
 				Type: monitorapi.FrameAck, Seq: msg.seq,
-				Verdict: shards.Shard(obj.shard).Verdict().String(),
+				Verdict: obj.verdict.String(),
 				Durable: obj.durable,
-			}, s)
+			}, d.srv)
 			return
 		}
-		if msg.seq <= obj.applied+obj.staged {
+		if msg.seq < expect {
 			return // duplicate of a staged batch; its ack comes at commit
 		}
-		s.abort(msg.sess, monitorapi.FrameError,
+		d.srv.abort(msg.sess, monitorapi.FrameError,
 			fmt.Sprintf("batch gap: got seq %d, want %d", msg.seq, expect))
 		return
 	}
-	for len(cur.deltas) <= obj.shard {
-		cur.deltas = append(cur.deltas, nil)
+	if obj.nextN == 0 {
+		obj.next = msg.h // the reader handed over a fresh slice
+	} else {
+		obj.next = append(obj.next, msg.h...)
 	}
-	if cur.deltas[obj.shard] == nil {
-		cur.filled = append(cur.filled, obj.shard)
-	}
-	cur.deltas[obj.shard] = append(cur.deltas[obj.shard], msg.h...)
+	obj.nextN++
 	obj.staged++
-	cur.acks = append(cur.acks, pendingAck{msg.sess, msg.seq})
+	if obj.nextN == 1 && !obj.running() {
+		d.ready(obj) // the first batch of an idle object
+	}
 }
 
-func (s *Server) handleOpen(shards *check.Shards, objects map[string]*object, msg ingestMsg) {
+// open attaches a session to its object, creating (or restoring) the object
+// on its first open. An existing object is settled first, so hello.Acked
+// counts every batch it accepted: a resumed session that resent staged
+// batches would see them dropped as duplicates, with their acks owed to the
+// session that first sent them.
+func (d *dispatcher) open(msg ingestMsg) {
+	s := d.srv
 	o := msg.open
 	if o.Version > monitorapi.ProtocolVersion || o.Version < 1 {
 		s.abort(msg.sess, monitorapi.FrameError,
@@ -551,15 +697,18 @@ func (s *Server) handleOpen(shards *check.Shards, objects map[string]*object, ms
 		return
 	}
 	key := o.Tenant + "\x00" + o.Object
-	obj := objects[key]
+	obj := d.objects[key]
+	if obj != nil {
+		d.settle(obj)
+	}
 	switch {
 	case obj == nil:
 		var aborted bool
-		obj, aborted = s.openObject(shards, o, key, msg.sess)
+		obj, aborted = d.openObject(o, key, msg.sess)
 		if aborted {
 			return
 		}
-		objects[key] = obj
+		d.objects[key] = obj
 	case obj.sess != nil && (o.Session == 0 || o.Session != obj.token):
 		s.abort(msg.sess, monitorapi.FrameError,
 			fmt.Sprintf("object %s/%s already has an active session", o.Tenant, o.Object))
@@ -598,7 +747,8 @@ func (s *Server) handleOpen(shards *check.Shards, objects map[string]*object, ms
 // fresh silently; a corrupt or unrestorable one starts fresh loudly — the
 // client sees the truth in hello.Acked and either replays from its buffer or
 // fails, never silently diverges (monitorclient's replay contract).
-func (s *Server) openObject(shards *check.Shards, o *monitorapi.Open, key string, sess *session) (*object, bool) {
+func (d *dispatcher) openObject(o *monitorapi.Open, key string, sess *session) (*object, bool) {
+	s := d.srv
 	obj := &object{
 		tenant: o.Tenant,
 		name:   o.Object,
@@ -607,7 +757,7 @@ func (s *Server) openObject(shards *check.Shards, o *monitorapi.Open, key string
 		key:    key,
 	}
 	if s.opts.Store == nil {
-		obj.shard = shards.Add(mustModel(o.Model), check.WithConfig(o.Config))
+		d.add(obj, nil)
 		return obj, false
 	}
 	payload, gen, err := s.opts.Store.Restore(key)
@@ -619,7 +769,7 @@ func (s *Server) openObject(shards *check.Shards, o *monitorapi.Open, key string
 			s.opts.Logf("linmond: %s/%s: no intact checkpoint, starting fresh: %v", o.Tenant, o.Object, err)
 			obj.gen = gens[len(gens)-1]
 		}
-		obj.shard = shards.Add(mustModel(o.Model), check.WithConfig(o.Config))
+		d.add(obj, nil)
 		return obj, false
 	}
 	cp, err := monitorapi.DecodeCheckpoint(payload)
@@ -629,7 +779,7 @@ func (s *Server) openObject(shards *check.Shards, o *monitorapi.Open, key string
 	if err != nil {
 		s.opts.Logf("linmond: %s/%s: generation %d unusable, starting fresh: %v", o.Tenant, o.Object, gen, err)
 		obj.gen = gen
-		obj.shard = shards.Add(mustModel(o.Model), check.WithConfig(o.Config))
+		d.add(obj, nil)
 		return obj, false
 	}
 	if cp.Model != o.Model || cp.Config != o.Config {
@@ -641,10 +791,10 @@ func (s *Server) openObject(shards *check.Shards, o *monitorapi.Open, key string
 	if err != nil {
 		s.opts.Logf("linmond: %s/%s: generation %d image rejected, starting fresh: %v", o.Tenant, o.Object, gen, err)
 		obj.gen = gen
-		obj.shard = shards.Add(mustModel(o.Model), check.WithConfig(o.Config))
+		d.add(obj, nil)
 		return obj, false
 	}
-	obj.shard = shards.AddMonitor(inc)
+	d.add(obj, inc)
 	obj.applied = cp.AppliedSeq
 	obj.durable = cp.AppliedSeq
 	obj.gen = gen
@@ -652,90 +802,58 @@ func (s *Server) openObject(shards *check.Shards, o *monitorapi.Open, key string
 	return obj, false
 }
 
-// mustModel resolves a model name handleOpen already validated.
+// add registers obj's monitor: inc, restored from a checkpoint, or a fresh
+// monitor for obj's model and config when inc is nil.
+func (d *dispatcher) add(obj *object, inc *check.Incremental) {
+	if inc == nil {
+		obj.inc = d.shards.Shard(d.shards.Add(mustModel(obj.model), check.WithConfig(obj.cfg)))
+	} else {
+		obj.inc = d.shards.Shard(d.shards.AddMonitor(inc))
+	}
+	obj.verdict = obj.inc.Verdict()
+}
+
+// mustModel resolves a model name open already validated.
 func mustModel(name string) spec.Model {
 	m, _ := spec.ByName(name)
 	return m
 }
 
-// apply runs one staged absorb round and makes its results durable and
-// visible: one Shards.Append, then applied cursors advance, due periodic
-// checkpoints are taken, then acks and gauges stream out, and the round's
-// buffers are reset for reuse. Checkpoints happen before acks so an ack's
-// Durable field reflects this round's checkpoint, not the previous one.
-func (s *Server) apply(shards *check.Shards, r *roundBuf) {
-	if len(r.acks) == 0 {
-		return
-	}
-	verdicts := shards.Append(r.deltas)
-	var touched []*object
-	for _, a := range r.acks {
-		obj := a.sess.obj
-		if obj == nil {
-			continue
-		}
-		// The monitor consumed the batch either way, so applied advances
-		// even when the session vanished mid-round (its opGone was absorbed
-		// before this commit and its out channel is closed) — a reconnect
-		// must not re-apply the batch.
-		obj.applied = a.seq
-		obj.staged--
-		obj.sinceCkpt++
-		if len(touched) == 0 || touched[len(touched)-1] != obj {
-			touched = append(touched, obj)
-		}
-	}
-	if s.opts.Store != nil {
-		for _, obj := range touched {
-			if obj.sinceCkpt >= s.opts.CheckpointEvery {
-				s.checkpoint(shards, obj)
-			}
-		}
-	}
-	for _, a := range r.acks {
-		obj := a.sess.obj
-		if obj == nil || obj.sess != a.sess {
-			continue
-		}
-		a.sess.acks++
-		a.sess.enqueue(monitorapi.ServerFrame{
-			Type: monitorapi.FrameAck, Seq: a.seq,
-			Verdict: verdicts[obj.shard].String(),
-			Durable: obj.durable,
-		}, s)
-		if s.opts.GaugeEvery > 0 && a.sess.acks%s.opts.GaugeEvery == 0 {
-			st := shards.Shard(obj.shard).Stats()
-			a.sess.enqueue(monitorapi.ServerFrame{
-				Type: monitorapi.FrameGauge, Seq: a.seq,
-				Gauge: &monitorapi.Gauge{
-					RetainedEvents: st.RetainedEvents,
-					RetainedBytes:  st.RetainedBytes,
-					FrontierStates: st.FrontierStates,
-				},
-			}, s)
-		}
-	}
-	// Keep the backing arrays, but nil the entries this round filled, so
-	// event slices are never shared across rounds.
-	for _, i := range r.filled {
-		r.deltas[i] = nil
-	}
-	r.filled = r.filled[:0]
-	r.acks = r.acks[:0]
+// checkpoint durably saves a settled object's monitor on the dispatcher:
+// the bye and drain checkpoints.
+func (d *dispatcher) checkpoint(obj *object) {
+	obj.sinceCkpt = 0
+	gen, err := d.srv.save(obj, obj.applied, obj.gen)
+	d.saved(obj, obj.applied, gen, err)
 }
 
-// checkpoint durably saves one object's monitor under the CAS rule. Failures
-// are logged and non-fatal — the monitor keeps running, the object's durable
-// horizon simply stops advancing and the next due round retries. ErrStale
-// means another instance is writing this key (two linmonds sharing a state
-// dir); that is a deployment error worth shouting about, but shouting is all
-// that is safe to do from here.
-func (s *Server) checkpoint(shards *check.Shards, obj *object) {
-	obj.sinceCkpt = 0
-	img, err := shards.Shard(obj.shard).Checkpoint()
+// saved commits a checkpoint attempt of obj through batch seq applied.
+// Failures are logged and non-fatal — the monitor keeps running, the
+// object's durable horizon simply stops advancing and the next due
+// checkpoint retries. ErrStale means another instance is writing this key
+// (two linmonds sharing a state dir); that is a deployment error worth
+// shouting about, but shouting is all that is safe to do from here.
+func (d *dispatcher) saved(obj *object, applied, gen uint64, err error) {
 	if err != nil {
-		s.opts.Logf("linmond: checkpoint %s/%s: %v", obj.tenant, obj.name, err)
+		if errors.Is(err, ckpt.ErrStale) {
+			d.srv.opts.Logf("linmond: checkpoint %s/%s: ANOTHER WRITER OWNS THIS KEY: %v", obj.tenant, obj.name, err)
+		} else {
+			d.srv.opts.Logf("linmond: checkpoint %s/%s: %v", obj.tenant, obj.name, err)
+		}
 		return
+	}
+	obj.gen = gen
+	obj.durable = applied
+}
+
+// save writes obj's monitor, applied through batch seq applied, to the store
+// as generation gen+1 under the CAS rule, and returns the generation
+// written. It runs on whichever goroutine holds the monitor: a worker for
+// periodic checkpoints, the dispatcher for the bye and drain ones.
+func (s *Server) save(obj *object, applied, gen uint64) (uint64, error) {
+	img, err := obj.inc.Checkpoint()
+	if err != nil {
+		return 0, err
 	}
 	payload, err := monitorapi.EncodeCheckpoint(&monitorapi.Checkpoint{
 		Version:    monitorapi.CheckpointVersion,
@@ -743,22 +861,11 @@ func (s *Server) checkpoint(shards *check.Shards, obj *object) {
 		Object:     obj.name,
 		Model:      obj.model,
 		Config:     obj.cfg,
-		AppliedSeq: obj.applied,
+		AppliedSeq: applied,
 		Monitor:    img,
 	})
 	if err != nil {
-		s.opts.Logf("linmond: checkpoint %s/%s: %v", obj.tenant, obj.name, err)
-		return
+		return 0, err
 	}
-	gen, err := s.opts.Store.Save(obj.key, obj.gen, payload)
-	if err != nil {
-		if errors.Is(err, ckpt.ErrStale) {
-			s.opts.Logf("linmond: checkpoint %s/%s: ANOTHER WRITER OWNS THIS KEY: %v", obj.tenant, obj.name, err)
-		} else {
-			s.opts.Logf("linmond: checkpoint %s/%s: %v", obj.tenant, obj.name, err)
-		}
-		return
-	}
-	obj.gen = gen
-	obj.durable = obj.applied
+	return s.opts.Store.Save(obj.key, gen, payload)
 }
