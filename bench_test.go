@@ -336,7 +336,7 @@ func BenchmarkCheckerAllocs(b *testing.B) {
 //     model verified through one check.Shards pool (internal/soak B11Specs).
 //   - frontier/queue: the frontier axis — the multi-state-frontier stream of
 //     trace.FrontierRounds, where each reveal burst forces five expensive
-//     independent refutations that check.WithParallelism overlaps.
+//     independent refutations that check.Config.Parallelism overlaps.
 func BenchmarkParallelCheck(b *testing.B) {
 	for _, s := range soak.B11Specs() {
 		hs := s.Histories()
@@ -354,8 +354,11 @@ func BenchmarkParallelCheck(b *testing.B) {
 		workers := runtime.GOMAXPROCS(0)
 		for i := 0; i < b.N; i++ {
 			m := check.NewIncremental(spec.Queue(),
-				check.WithRetention(check.RetentionPolicy{GCBatch: 32}),
-				check.WithParallelism(workers))
+				check.WithConfig(check.Config{
+					Retain:      true,
+					Retention:   check.RetentionPolicy{GCBatch: 32},
+					Parallelism: workers,
+				}))
 			for k, bu := range bursts {
 				if m.Append(bu) != check.Yes {
 					b.Fatalf("burst %d refuted a correct stream", k)
@@ -396,8 +399,8 @@ func BenchmarkXOfTau(b *testing.B) {
 // stream of `ops` published operations, one verification pass per
 // publication (steady-state online monitoring):
 //
-//   - full: the seed's Figure 12 loop body — flatten, BuildHistory, decide
-//     membership of the whole prefix, every time;
+//   - full: the paper's Figure 12 loop body (soak.FullRecheck) — flatten,
+//     BuildHistory, decide membership of the whole prefix, every time;
 //   - incremental: the IncVerifier pipeline — delta assembly plus a segment
 //     check from the committed frontier.
 //
@@ -411,14 +414,8 @@ func BenchmarkDecoupledVerify(b *testing.B) {
 			obj := genlin.Linearizability(m)
 			b.Run(fmt.Sprintf("full/%s/ops=%d", m.Name(), ops), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					for k := 1; k <= ops; k++ {
-						x, err := core.BuildHistory(tuples[:k], procs)
-						if err != nil {
-							b.Fatal(err)
-						}
-						if !obj.Contains(x) {
-							b.Fatal("correct stream refuted")
-						}
+					if err := soak.FullRecheck(obj, tuples, procs); err != nil {
+						b.Fatal(err)
 					}
 				}
 			})
@@ -632,7 +629,7 @@ func BenchmarkFastTier(b *testing.B) {
 	b.Run("incremental-retained/queue/seed2", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			inc := check.NewIncremental(m, check.WithRetention(check.RetentionPolicy{}))
+			inc := check.NewIncremental(m, check.WithConfig(check.Config{Retain: true}))
 			if inc.Append(h) != check.Yes {
 				b.Fatal("B13 seed refuted")
 			}

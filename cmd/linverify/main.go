@@ -192,7 +192,7 @@ func runStream(in io.Reader, flagModel string) int {
 	if !ok {
 		return 2
 	}
-	inc := check.NewIncremental(m, check.WithRetention(check.RetentionPolicy{}))
+	inc := check.NewIncremental(m, check.WithConfig(check.Config{Retain: true}))
 	verdict := check.Yes
 	chunk := make(history.History, 0, streamChunk)
 	for {

@@ -1,14 +1,15 @@
-// Command perfgate is the CI perf/regression gate. It runs two checks
+// Command perfgate is the CI perf/regression gate. It runs its gates
 // in-process and writes their numbers as JSON for the benchmark-trajectory
 // artifact:
 //
 //   - B8 ratio gate: the steady-state verification work of the paper-literal
-//     Figure 12 loop body (flatten, BuildHistory, re-decide the whole prefix
-//     on every publication — what cmd/stress -decoupled -fullrecheck drives)
-//     against the incremental pipeline (what cmd/stress -decoupled drives),
-//     at ops published operations. CI fails if the speedup falls below
-//     -minratio (default 100x, far under the recorded 237x-5541x B8 band, so
-//     only a real regression trips it).
+//     Figure 12 loop body (soak.FullRecheck: flatten, BuildHistory, re-decide
+//     the whole prefix on every publication — the same body
+//     BenchmarkDecoupledVerify's full arms time) against the incremental
+//     pipeline (what cmd/stress -decoupled drives), at ops published
+//     operations. CI fails if the speedup falls below -minratio (default
+//     100x, far under the recorded 237x-5541x B8 band, so only a real
+//     regression trips it).
 //
 //   - B9 soak gate: the bounded-memory pipeline at reduced scale. CI fails
 //     if the retained window exceeds the policy-derived bound — that is,
@@ -206,7 +207,7 @@ func run() int {
 	ops := flag.Int("ops", 1024, "published operations for the B8 ratio gate")
 	soakOps := flag.Int("soakops", 20000, "published operations for the B9 soak gate")
 	b12Ops := flag.Int("b12ops", 20000, "operations for the B12 never-quiescent commit-point-cut gate")
-	minRatio := flag.Float64("minratio", 100, "minimum incremental-vs-fullrecheck speedup")
+	minRatio := flag.Float64("minratio", 100, "minimum B8 speedup of the incremental pipeline over the Figure 12 full re-check")
 	maxAllocs := flag.Int64("maxallocs", 400, "maximum allocs/op for the B10 checker gate")
 	minScale := flag.Float64("minscale", 1.5, "minimum 4-worker-vs-1 speedup for the B11 parallel gate (auto-skip below 4 CPUs)")
 	b13MinRatio := flag.Float64("b13minratio", 50, "minimum explored-steps ratio (Wing–Gong explored / tier peel steps) for the B13 fast-tier gate")
@@ -241,16 +242,9 @@ func run() int {
 	// --- B8 ratio gate -----------------------------------------------------
 	tuples := soak.Publish(m, procs, *ops)
 	start := time.Now()
-	for k := 1; k <= *ops; k++ {
-		x, err := core.BuildHistory(tuples[:k], procs)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "full recheck: %v\n", err)
-			return exitSetup
-		}
-		if !obj.Contains(x) {
-			fmt.Fprintln(os.Stderr, "full recheck refuted a correct stream")
-			return exitSetup
-		}
+	if err := soak.FullRecheck(obj, tuples, procs); err != nil {
+		fmt.Fprintf(os.Stderr, "full recheck of a correct stream: %v\n", err)
+		return exitSetup
 	}
 	res.FullNs = time.Since(start).Nanoseconds()
 

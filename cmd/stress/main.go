@@ -8,7 +8,6 @@
 //	stress -model queue -procs 4 -ops 200 -seeds 10
 //	stress -model counter -fault stale -rate 16 -procs 4
 //	stress -model counter -decoupled -verifiers 3 -ops 2000
-//	stress -model counter -decoupled -fullrecheck -ops 2000   # paper-literal loop
 //	stress -model counter -decoupled -retain -ops 25000       # bounded-memory soak
 //	stress -model queue -decoupled -ops 5000 -cpuprofile cpu.out -memprofile mem.out
 //
@@ -74,11 +73,10 @@ func run() int {
 	seeds := flag.Int("seeds", 5, "independent runs")
 	decoupled := flag.Bool("decoupled", false, "soak the decoupled variant (Figure 12) instead of the self-enforced one")
 	verifiers := flag.Int("verifiers", 3, "decoupled verifier goroutines (1 dispatcher + scanners)")
-	fullrecheck := flag.Bool("fullrecheck", false, "decoupled: use the paper-literal whole-history re-check loop")
 	retain := flag.Bool("retain", false, "decoupled: bounded-memory retention (GC committed prefixes behind the frontier)")
 	commitcuts := flag.Bool("commitcuts", false, "retention: commit-point-order cuts for strongly-ordered models (queue, stack, pqueue) — retention stays bounded on streams that never quiesce")
-	workers := flag.Int("workers", 1, "decoupled: parallel segment-search workers inside the monitor (requires -decoupled -retain; incompatible with -fullrecheck)")
-	fasttier := flag.Bool("fasttier", true, "decoupled: log-linear fast decision tier inside the incremental monitor (incompatible with -fullrecheck)")
+	workers := flag.Int("workers", 1, "decoupled: parallel segment-search workers inside the monitor (requires -decoupled -retain)")
+	fasttier := flag.Bool("fasttier", true, "decoupled: log-linear fast decision tier inside the incremental monitor")
 	gcbatch := flag.Int("gcbatch", 0, "retention: GC batch size in events (0 = default)")
 	report := flag.Duration("report", 2*time.Second, "retention: live heap/retained-ops reporting interval (0 = off)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the soak to this file")
@@ -131,8 +129,8 @@ func run() int {
 	}
 
 	if *replay != "" {
-		if *netMode || *crashEvery != 0 || *decoupled || *fullrecheck || *fault != "" {
-			fmt.Fprintln(os.Stderr, "-replay streams a recorded trace; it is incompatible with -net, -crash-every, -decoupled, -fullrecheck and -fault")
+		if *netMode || *crashEvery != 0 || *decoupled || *fault != "" {
+			fmt.Fprintln(os.Stderr, "-replay streams a recorded trace; it is incompatible with -net, -crash-every, -decoupled and -fault")
 			return 2
 		}
 		// -model and -addr keep their defaults for the generator modes; for
@@ -184,8 +182,8 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "-crash-every %d: need a positive batch interval\n", *crashEvery)
 			return 2
 		}
-		if *fullrecheck || *decoupled {
-			fmt.Fprintf(os.Stderr, "-%s replaces the in-process pipeline; it is incompatible with -decoupled and -fullrecheck\n", mode)
+		if *decoupled {
+			fmt.Fprintf(os.Stderr, "-%s replaces the in-process pipeline; it is incompatible with -decoupled\n", mode)
 			return 2
 		}
 		if *netbatch < 1 {
@@ -231,16 +229,8 @@ func run() int {
 	}
 
 	obj := genlin.Linearizability(m)
-	if *retain && *fullrecheck {
-		fmt.Fprintln(os.Stderr, "-retain is incompatible with -fullrecheck (the paper-literal loop re-reads the whole sketch)")
-		return 2
-	}
 	if *workers < 1 {
 		fmt.Fprintf(os.Stderr, "-workers %d: the pool needs at least one worker\n", *workers)
-		return 2
-	}
-	if *workers > 1 && *fullrecheck {
-		fmt.Fprintln(os.Stderr, "-workers > 1 is incompatible with -fullrecheck (the paper-literal brute loop has no incremental monitor to parallelise)")
 		return 2
 	}
 	if *workers > 1 && !*decoupled {
@@ -264,10 +254,6 @@ func run() int {
 			fasttierSet = true
 		}
 	})
-	if fasttierSet && *fullrecheck {
-		fmt.Fprintln(os.Stderr, "-fasttier is incompatible with -fullrecheck (the paper-literal loop has no incremental monitor, hence no tier to toggle)")
-		return 2
-	}
 	if fasttierSet && !*decoupled {
 		fmt.Fprintln(os.Stderr, "-fasttier requires -decoupled (only the decoupled monitor runs the incremental pipeline the tier accelerates)")
 		return 2
@@ -275,7 +261,7 @@ func run() int {
 	if *decoupled {
 		cfg := decoupledCfg{
 			fault: *fault, rate: *rate, procs: *procs, ops: *ops, seeds: *seeds,
-			verifiers: *verifiers, fullrecheck: *fullrecheck, workers: *workers,
+			verifiers: *verifiers, workers: *workers,
 			report: *report, monitor: monitor,
 		}
 		return runDecoupled(m, obj, mode, cfg)
@@ -337,15 +323,14 @@ func run() int {
 
 // decoupledCfg carries the decoupled soak's flag values.
 type decoupledCfg struct {
-	fault       string
-	rate        uint64
-	procs, ops  int
-	seeds       int
-	verifiers   int
-	fullrecheck bool
-	workers     int
-	report      time.Duration
-	monitor     check.Config // the dispatcher monitor's configuration
+	fault      string
+	rate       uint64
+	procs, ops int
+	seeds      int
+	verifiers  int
+	workers    int
+	report     time.Duration
+	monitor    check.Config // the dispatcher monitor's configuration
 }
 
 // runDecoupled soaks D_{O,A} (Figure 12): producers never wait for
@@ -365,12 +350,8 @@ func runDecoupled(m spec.Model, obj genlin.Object, mode impls.FaultMode, cfg dec
 			inner = impls.NewFaulty(inner, mode, cfg.rate, uint64(seed))
 		}
 		var reports atomic.Int64
-		opts := []core.DecoupledOption{core.WithDecoupledConfig(cfg.monitor)}
-		if cfg.fullrecheck {
-			opts = append(opts, core.WithFullRecheck())
-		}
 		d := core.NewDecoupled(inner, cfg.procs, cfg.verifiers, obj,
-			func(core.Report) { reports.Add(1) }, opts...)
+			func(core.Report) { reports.Add(1) }, core.WithDecoupledConfig(cfg.monitor))
 		stopReport := make(chan struct{})
 		var reportWg sync.WaitGroup
 		if cfg.monitor.Retain && cfg.report > 0 {
@@ -446,18 +427,16 @@ func runDecoupled(m spec.Model, obj genlin.Object, mode impls.FaultMode, cfg dec
 	}
 	elapsed := time.Since(start)
 
-	fmt.Printf("decoupled model=%s fault=%q rate=%d procs=%d ops/proc=%d runs=%d verifiers=%d fullrecheck=%v retain=%v commitcuts=%v workers=%d fasttier=%v\n",
-		m.Name(), cfg.fault, cfg.rate, cfg.procs, cfg.ops, cfg.seeds, cfg.verifiers, cfg.fullrecheck,
+	fmt.Printf("decoupled model=%s fault=%q rate=%d procs=%d ops/proc=%d runs=%d verifiers=%d retain=%v commitcuts=%v workers=%d fasttier=%v\n",
+		m.Name(), cfg.fault, cfg.rate, cfg.procs, cfg.ops, cfg.seeds, cfg.verifiers,
 		cfg.monitor.Retain, cfg.monitor.Retention.CommitCuts, cfg.workers, !cfg.monitor.NoFastTier)
 	fmt.Printf("produced ops: %d in %v (%.0f ops/s)\n",
 		totalOps.Load(), elapsed.Round(time.Millisecond), float64(totalOps.Load())/elapsed.Seconds())
 	fmt.Printf("pipeline: scans=%d passes=%d tuples=%d groups=%d rebuilds=%d segchecks=%d fallbacks=%d compactions=%d reports=%d\n",
 		agg.Scans, agg.Verify.Passes, agg.Verify.Tuples, agg.Verify.Groups, agg.Verify.Rebuilds,
 		agg.Verify.Check.SegChecks, agg.Verify.Check.Fallbacks, agg.Verify.Check.Compactions, agg.Reports)
-	if !cfg.fullrecheck {
-		fmt.Printf("fast tier: hits=%d fallbacks=%d (0/0 is expected with -fasttier=false or a model outside the tier's fragment)\n",
-			agg.Verify.Check.FastTierHits, agg.Verify.Check.FastTierFallbacks)
-	}
+	fmt.Printf("fast tier: hits=%d fallbacks=%d (0/0 is expected with -fasttier=false or a model outside the tier's fragment)\n",
+		agg.Verify.Check.FastTierHits, agg.Verify.Check.FastTierFallbacks)
 	if cfg.monitor.Retain {
 		fmt.Printf("retention: gcruns=%d discarded-events=%d retained-events(last run)=%d discarded-tuples=%d retained-tuples(last run)=%d deferrals=%d released: result-nodes=%d ann-nodes=%d\n",
 			agg.Verify.Check.GCRuns, agg.Verify.Check.DiscardedEvents, agg.Verify.Check.RetainedEvents,

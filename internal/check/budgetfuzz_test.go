@@ -8,8 +8,8 @@ import (
 	"repro/internal/trace"
 )
 
-// This file covers the three-way interaction of WithRetention,
-// WithParallelism and StateBudget overflow: when the exact frontier
+// This file covers the three-way interaction of Config.Retain,
+// Config.Parallelism and StateBudget overflow: when the exact frontier
 // enumeration at a cut exceeds StateBudget or MaxFrontierStates, the cut is
 // skipped and retried at a later boundary (advanceCuts drops the wedged
 // boundary) — and that skip/retry interleave must be bit-identical across
@@ -26,11 +26,7 @@ func runBudgetWidths(t *testing.T, m spec.Model, bursts []history.History, pol R
 	unb := NewIncremental(m)
 	ms := make([]*Incremental, len(widths))
 	for i, w := range widths {
-		opts := []IncOption{WithRetention(pol)}
-		if w > 1 {
-			opts = append(opts, WithParallelism(w))
-		}
-		ms[i] = NewIncremental(m, opts...)
+		ms[i] = NewIncremental(m, WithConfig(Config{Retain: true, Retention: pol, Parallelism: w}))
 	}
 	for k, b := range bursts {
 		want := unb.Append(b)

@@ -47,7 +47,7 @@ func TestCommitCutNeverQuiescentEquivalence(t *testing.T) {
 		t.Run(m.Name(), func(t *testing.T) {
 			h := trace.NeverQuiescent(m, 11, 5, 800)
 			inc := driveAgainstOracle(t, m, splitBursts(h, 32), "correct",
-				WithRetention(commitPolicy))
+				WithConfig(Config{Retain: true, Retention: commitPolicy}))
 			st := inc.Stats()
 			if st.CommitCuts == 0 || st.CarriedOps == 0 || st.DiscardedEvents == 0 {
 				t.Fatalf("commit cuts did not engage: %+v", st)
@@ -57,7 +57,7 @@ func TestCommitCutNeverQuiescentEquivalence(t *testing.T) {
 			}
 			// The quiescent-only control must degrade on the same stream:
 			// no boundary is quiescent, so nothing is ever collected.
-			ctl := NewIncremental(m, WithRetention(RetentionPolicy{GCBatch: 16}))
+			ctl := NewIncremental(m, WithConfig(Config{Retain: true, Retention: RetentionPolicy{GCBatch: 16}}))
 			for _, b := range splitBursts(h, 32) {
 				if ctl.Append(b) != Yes {
 					t.Fatal("control refuted the correct stream")
@@ -69,7 +69,7 @@ func TestCommitCutNeverQuiescentEquivalence(t *testing.T) {
 			// A mutated stream must refute identically.
 			bad := trace.Mutate(h, 23)
 			driveAgainstOracle(t, m, splitBursts(bad, 32), "mutated",
-				WithRetention(commitPolicy))
+				WithConfig(Config{Retain: true, Retention: commitPolicy}))
 		})
 	}
 }
@@ -94,7 +94,7 @@ func TestCommitCutPinnedObservation(t *testing.T) {
 	// GCBatch 1 gives the planner stride 1: a candidate at every eligible
 	// position, maximal pressure on the pinning check.
 	pol := RetentionPolicy{GCBatch: 1, CommitCuts: true}
-	inc := NewIncremental(spec.Queue(), WithRetention(pol))
+	inc := NewIncremental(spec.Queue(), WithConfig(Config{Retain: true, Retention: pol}))
 	for k, delta := range splitBursts(h, 2) {
 		if inc.Append(delta) != Yes {
 			t.Fatalf("burst %d: pinned producer mis-carried: correct stream refuted (%v)", k, inc.Err())
@@ -110,7 +110,7 @@ func TestCommitCutPinnedObservation(t *testing.T) {
 // violation.
 func TestCommitCutCarriedDuplicateID(t *testing.T) {
 	h := trace.NeverQuiescent(spec.Queue(), 5, 5, 300)
-	inc := NewIncremental(spec.Queue(), WithRetention(RetentionPolicy{GCBatch: 8, CommitCuts: true}))
+	inc := NewIncremental(spec.Queue(), WithConfig(Config{Retain: true, Retention: RetentionPolicy{GCBatch: 8, CommitCuts: true}}))
 	if inc.Append(h) != Yes {
 		t.Fatal("correct stream refuted")
 	}
@@ -143,8 +143,8 @@ func TestCommitCutCarriedDuplicateID(t *testing.T) {
 func TestCommitCutIncapableFallback(t *testing.T) {
 	for _, m := range []spec.Model{spec.Counter(), spec.Register(0), spec.Set(), spec.Consensus()} {
 		h := trace.RandomLinearizable(m, 31, 3, 60)
-		plain := NewIncremental(m, WithRetention(RetentionPolicy{GCBatch: 8}))
-		knob := NewIncremental(m, WithRetention(RetentionPolicy{GCBatch: 8, CommitCuts: true}))
+		plain := NewIncremental(m, WithConfig(Config{Retain: true, Retention: RetentionPolicy{GCBatch: 8}}))
+		knob := NewIncremental(m, WithConfig(Config{Retain: true, Retention: RetentionPolicy{GCBatch: 8, CommitCuts: true}}))
 		for k, bst := range splitBursts(h, 9) {
 			if plain.Append(bst) != knob.Append(bst) {
 				t.Fatalf("%s: burst %d: verdicts diverged", m.Name(), k)
@@ -178,7 +178,7 @@ func TestCommitCutReloadWindow(t *testing.T) {
 	m := spec.Queue()
 	h := trace.NeverQuiescent(m, 13, 5, 600)
 	bursts := splitBursts(h, 25)
-	inc := NewIncremental(m, WithRetention(RetentionPolicy{GCBatch: 8, CommitCuts: true}))
+	inc := NewIncremental(m, WithConfig(Config{Retain: true, Retention: RetentionPolicy{GCBatch: 8, CommitCuts: true}}))
 	oracle := NewIncremental(m)
 	for k, b := range bursts {
 		vr := inc.Append(b)
@@ -222,8 +222,8 @@ func FuzzCommitCuts(f *testing.F) {
 		pol := RetentionPolicy{GCBatch: 1 + int(gcb)%32, CommitCuts: true}
 
 		check := func(h history.History, label string) {
-			seq := NewIncremental(m, WithRetention(pol))
-			par := NewIncremental(m, WithRetention(pol), WithParallelism(w))
+			seq := NewIncremental(m, WithConfig(Config{Retain: true, Retention: pol}))
+			par := NewIncremental(m, WithConfig(Config{Retain: true, Retention: pol, Parallelism: w}))
 			oracle := NewIncremental(m)
 			for k, b := range splitBursts(h, c) {
 				vs, vp, vo := seq.Append(b), par.Append(b), oracle.Append(b)
@@ -277,7 +277,7 @@ func FuzzRetentionInterleave(f *testing.F) {
 			KeepEvents: int(keep) % 16,
 			CommitCuts: commit%2 == 1,
 		}
-		inc := NewIncremental(m, WithRetention(pol))
+		inc := NewIncremental(m, WithConfig(Config{Retain: true, Retention: pol}))
 		prefix := 0
 		for _, delta := range chunks(h, rng) {
 			prefix += len(delta)
@@ -313,7 +313,7 @@ func TestCommitCutResidencySeedAtMark(t *testing.T) {
 	b.Call(2, spec.MethodEnq, 7, spec.OKResp())
 	b.Call(2, spec.MethodDeq, 0, spec.ValueResp(1))
 	h := b.MustHistory(t)
-	inc := NewIncremental(spec.Queue(), WithRetention(RetentionPolicy{GCBatch: 1, CommitCuts: true}))
+	inc := NewIncremental(spec.Queue(), WithConfig(Config{Retain: true, Retention: RetentionPolicy{GCBatch: 1, CommitCuts: true}}))
 	if inc.Append(h) != Yes {
 		t.Fatalf("correct stream refuted: %v", inc.Err())
 	}
@@ -348,7 +348,7 @@ func TestCommitCutResidencyNoPhantom(t *testing.T) {
 	b.Call(2, spec.MethodEnq, 7, spec.OKResp())     // inserted AND observed in-window
 	b.Call(2, spec.MethodDeq, 0, spec.ValueResp(7))
 	h := b.MustHistory(t)
-	inc := NewIncremental(spec.Queue(), WithRetention(RetentionPolicy{GCBatch: 1, CommitCuts: true}))
+	inc := NewIncremental(spec.Queue(), WithConfig(Config{Retain: true, Retention: RetentionPolicy{GCBatch: 1, CommitCuts: true}}))
 	if inc.Append(h) != Yes {
 		t.Fatalf("correct stream refuted: %v", inc.Err())
 	}
@@ -373,8 +373,8 @@ func TestCommitCutReloadKeepsCutting(t *testing.T) {
 	m := spec.Queue()
 	h := trace.NeverQuiescent(m, 13, 5, 600)
 	pol := RetentionPolicy{GCBatch: 8, CommitCuts: true}
-	cont := NewIncremental(m, WithRetention(pol))
-	reld := NewIncremental(m, WithRetention(pol))
+	cont := NewIncremental(m, WithConfig(Config{Retain: true, Retention: pol}))
+	reld := NewIncremental(m, WithConfig(Config{Retain: true, Retention: pol}))
 	bursts := splitBursts(h, 25)
 	var atReload int
 	for k, bst := range bursts {
@@ -429,7 +429,7 @@ func TestCommitCutObservedWhilePending(t *testing.T) {
 		chainProc, chainArg = next, nextArg
 	}
 	h := b.MustHistory(t)
-	inc := NewIncremental(spec.Queue(), WithRetention(RetentionPolicy{GCBatch: 8, CommitCuts: true}))
+	inc := NewIncremental(spec.Queue(), WithConfig(Config{Retain: true, Retention: RetentionPolicy{GCBatch: 8, CommitCuts: true}}))
 	oracle := NewIncremental(spec.Queue())
 	for k, bst := range splitBursts(h, 7) {
 		vr, vo := inc.Append(bst), oracle.Append(bst)
@@ -446,7 +446,7 @@ func TestCommitCutObservedWhilePending(t *testing.T) {
 // counters with the horizon, keeping the documented alignment contract
 // (Discarded()==0 implies zero response/invocation discards).
 func TestResetRewindsDiscardCounters(t *testing.T) {
-	inc := NewIncremental(spec.Queue(), WithRetention(RetentionPolicy{GCBatch: 1}))
+	inc := NewIncremental(spec.Queue(), WithConfig(Config{Retain: true, Retention: RetentionPolicy{GCBatch: 1}}))
 	inc.Append(trace.RandomLinearizable(spec.Queue(), 3, 2, 40))
 	if inc.DiscardedResponses() == 0 {
 		t.Fatal("precondition: GC never dropped a response")

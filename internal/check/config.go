@@ -5,12 +5,12 @@ import "fmt"
 // Config is the single configuration surface of the monitoring engine: one
 // serialisable struct holding every knob the incremental monitor understands
 // — retention policy (including commit-point cuts), parallelism and the
-// log-linear fast tier. The library options (WithRetention, WithParallelism),
-// the verification-pipeline options in internal/core
-// (WithVerifierConfig, WithDecoupledConfig), the CLI flags of cmd/stress and
-// cmd/linmond, and the monitorapi wire protocol all build on this one type,
-// so a configuration travels unchanged from a remote client's session-open
-// frame to the monitor instance that serves it.
+// log-linear fast tier. WithConfig is the only monitor option; the
+// verification-pipeline options in internal/core (WithVerifierConfig,
+// WithDecoupledConfig), the repro facade's WithConfig, the CLI flags of
+// cmd/stress and cmd/linmond, and the monitorapi wire protocol all carry this
+// one type, so a configuration travels unchanged from a remote client's
+// session-open frame to the monitor instance that serves it.
 //
 // The zero Config is the library default: unbounded full-witness monitoring,
 // sequential engine, fast tier on. Field semantics are chosen so that every
@@ -19,7 +19,8 @@ import "fmt"
 type Config struct {
 	// Retain opts in to bounded-memory monitoring under Retention: committed
 	// prefixes behind the cut frontier are garbage-collected, summarised as
-	// the exact reachable state set. Equivalent to WithRetention.
+	// the exact set of sequential states any of their linearizations can
+	// reach.
 	Retain bool `json:"retain,omitempty"`
 	// Retention is the bounded-memory policy; meaningful only when Retain is
 	// set (zero fields take the documented defaults). Its CommitCuts field is
@@ -27,12 +28,15 @@ type Config struct {
 	Retention RetentionPolicy `json:"retention,omitzero"`
 	// Parallelism fans segment checks and frontier enumerations across a
 	// bounded worker pool of this width; 0 and 1 both mean the strictly
-	// sequential engine. Equivalent to WithParallelism.
+	// sequential engine. Verdicts and IncStats are identical to the
+	// sequential engine's under any scheduling (the join commits outcomes in
+	// frontier order up to the first witness), so it is purely a latency
+	// knob. The fan-out needs a multi-state frontier, which only retention
+	// builds; without Retain it never triggers.
 	Parallelism int `json:"parallelism,omitempty"`
 	// NoFastTier disables the log-linear decision tier ahead of the exact
 	// search (the tier is on by default and auto-off for models outside its
-	// fragment). Inverted so the default is the zero value. It has no option
-	// wrapper: set it through WithConfig.
+	// fragment). Inverted so the default is the zero value.
 	NoFastTier bool `json:"no_fast_tier,omitempty"`
 }
 
@@ -77,11 +81,8 @@ func (c Config) Validate() error {
 // fan-out multiplies it).
 const MaxParallelism = 1024
 
-// WithConfig applies a whole Config at once — the constructor the wire
-// protocol and anything else holding a serialised configuration uses. It
-// replaces the effect of all previous options; a monitor built from a Config
-// is bit-identical (verdicts, stats, retained window) to one built from the
-// equivalent With* options (equivalence-tested in config_test.go).
+// WithConfig configures a monitor with a whole Config. A later WithConfig
+// replaces an earlier one.
 func WithConfig(c Config) IncOption {
 	return func(inc *Incremental) { inc.cfg = c }
 }

@@ -10,34 +10,24 @@ import (
 	"repro/internal/trace"
 )
 
-// optionEquivalent enumerates pairs of constructions that must yield the
-// same monitor: one through the legacy With* options, one through the
-// equivalent Config. The suite drives both through identical streams and
-// demands bit-identical observable state — per-append verdicts, IncStats,
-// the retained window, the frontier.
-type optionEquivalent struct {
+// configCases are the configurations the equivalence suite builds monitors
+// from: the default, every retention shape, and parallelism with and
+// without retention.
+func configCases() []struct {
 	name string
-	opts []check.IncOption
 	cfg  check.Config
-}
-
-func equivalences() []optionEquivalent {
-	return []optionEquivalent{
-		{"default", nil, check.Config{}},
-		{"retention", []check.IncOption{check.WithRetention(check.RetentionPolicy{})},
-			check.Config{Retain: true}},
-		{"retention-tight", []check.IncOption{check.WithRetention(check.RetentionPolicy{GCBatch: 1})},
-			check.Config{Retain: true, Retention: check.RetentionPolicy{GCBatch: 1}}},
-		{"retention-commitcuts", []check.IncOption{check.WithRetention(check.RetentionPolicy{GCBatch: 4, CommitCuts: true})},
-			check.Config{Retain: true, Retention: check.RetentionPolicy{GCBatch: 4, CommitCuts: true}}},
-		{"parallel-2", []check.IncOption{check.WithParallelism(2)},
-			check.Config{Parallelism: 2}},
-		{"parallel-4-retained", []check.IncOption{check.WithParallelism(4), check.WithRetention(check.RetentionPolicy{GCBatch: 2})},
-			check.Config{Parallelism: 4, Retain: true, Retention: check.RetentionPolicy{GCBatch: 2}}},
-		{"kitchen-sink", []check.IncOption{
-			check.WithRetention(check.RetentionPolicy{KeepEvents: 64, GCBatch: 2, CommitCuts: true}),
-			check.WithParallelism(3),
-		}, check.Config{
+} {
+	return []struct {
+		name string
+		cfg  check.Config
+	}{
+		{"default", check.Config{}},
+		{"retention", check.Config{Retain: true}},
+		{"retention-tight", check.Config{Retain: true, Retention: check.RetentionPolicy{GCBatch: 1}}},
+		{"retention-commitcuts", check.Config{Retain: true, Retention: check.RetentionPolicy{GCBatch: 4, CommitCuts: true}}},
+		{"parallel-2", check.Config{Parallelism: 2}},
+		{"parallel-4-retained", check.Config{Parallelism: 4, Retain: true, Retention: check.RetentionPolicy{GCBatch: 2}}},
+		{"kitchen-sink", check.Config{
 			Retain:      true,
 			Retention:   check.RetentionPolicy{KeepEvents: 64, GCBatch: 2, CommitCuts: true},
 			Parallelism: 3,
@@ -45,29 +35,45 @@ func equivalences() []optionEquivalent {
 	}
 }
 
+// TestConfigOptionEquivalence: the two ways a Config becomes a monitor yield
+// the same monitor. One is a standalone NewIncremental(WithConfig(cfg)); the
+// other is the monitoring service's path, Shards.Add(WithConfig(cfg)), where
+// the monitor shares the set's search-arena pool with a sibling driven on
+// another goroutine at the same time. Both go through identical streams and
+// must agree bit for bit — per-append verdicts, IncStats, the retained
+// window, the frontier.
 func TestConfigOptionEquivalence(t *testing.T) {
 	models := []spec.Model{spec.Queue(), spec.Stack(), spec.Counter()}
 	for _, m := range models {
-		for _, eq := range equivalences() {
-			t.Run(m.Name()+"/"+eq.name, func(t *testing.T) {
+		for _, tc := range configCases() {
+			t.Run(m.Name()+"/"+tc.name, func(t *testing.T) {
 				for seed := int64(0); seed < 3; seed++ {
 					h := trace.RandomLinearizable(m, seed, 4, 72)
+					sib := trace.RandomLinearizable(m, seed+100, 4, 72)
 					if seed == 2 {
 						h = trace.Mutate(h, seed+11) // likely-violating stream
 					}
-					a := check.NewIncremental(m, eq.opts...)
-					b := check.NewIncremental(m, check.WithConfig(eq.cfg))
-					if a.Config() != b.Config() {
-						t.Fatalf("configs diverge: options %+v, config %+v", a.Config(), b.Config())
+					a := check.NewIncremental(m, check.WithConfig(tc.cfg))
+					sh := check.NewShards(nil, 1)
+					b := sh.Shard(sh.Add(m, check.WithConfig(tc.cfg)))
+					sibling := sh.Shard(sh.Add(m, check.WithConfig(tc.cfg)))
+					if a.Config() != b.Config() || a.Config() != tc.cfg {
+						t.Fatalf("configs diverge: standalone %+v, shard %+v, want %+v", a.Config(), b.Config(), tc.cfg)
 					}
 					for i := 0; i < len(h); i += 16 {
 						d := h[i:min(i+16, len(h))]
+						done := make(chan struct{})
+						go func() {
+							sibling.Append(sib[min(i, len(sib)):min(i+16, len(sib))])
+							close(done)
+						}()
 						va, vb := a.Append(d), b.Append(d)
+						<-done
 						if va != vb {
-							t.Fatalf("seed %d, event %d: option verdict %v, config verdict %v", seed, i, va, vb)
+							t.Fatalf("seed %d, event %d: standalone verdict %v, shard verdict %v", seed, i, va, vb)
 						}
 						if a.Stats() != b.Stats() {
-							t.Fatalf("seed %d, event %d: stats diverge\noptions: %+v\nconfig:  %+v",
+							t.Fatalf("seed %d, event %d: stats diverge\nstandalone: %+v\nshard:      %+v",
 								seed, i, a.Stats(), b.Stats())
 						}
 						if !reflect.DeepEqual(a.History(), b.History()) || a.Discarded() != b.Discarded() {
@@ -84,23 +90,19 @@ func TestConfigOptionEquivalence(t *testing.T) {
 	}
 }
 
-// TestConfigEcho: a monitor reports the Config it was built from, and the
-// thin-wrapper options write exactly the fields their docs claim.
+// TestConfigEcho: a monitor reports the Config it was built from, and a
+// later WithConfig replaces earlier ones.
 func TestConfigEcho(t *testing.T) {
-	inc := check.NewIncremental(spec.Queue(),
-		check.WithRetention(check.RetentionPolicy{GCBatch: 7}),
-		check.WithParallelism(2))
 	want := check.Config{
 		Retain:      true,
 		Retention:   check.RetentionPolicy{GCBatch: 7},
 		Parallelism: 2,
 	}
-	if got := inc.Config(); got != want {
+	if got := check.NewIncremental(spec.Queue(), check.WithConfig(want)).Config(); got != want {
 		t.Fatalf("Config() = %+v, want %+v", got, want)
 	}
-	// Last write wins: WithConfig replaces everything accumulated so far.
 	inc2 := check.NewIncremental(spec.Queue(),
-		check.WithParallelism(8),
+		check.WithConfig(check.Config{Parallelism: 8}),
 		check.WithConfig(check.Config{Retain: true}))
 	if got := inc2.Config(); got != (check.Config{Retain: true}) {
 		t.Fatalf("WithConfig did not replace prior options: %+v", got)

@@ -86,7 +86,7 @@ func TestFastTierHeavyTail(t *testing.T) {
 	// Retention-mode incremental engine: cuts re-enumerate frontiers from the
 	// events alone, so the tier's Yes is usable outright — the exact search
 	// must never run.
-	inc := check.NewIncremental(m, check.WithRetention(check.RetentionPolicy{}))
+	inc := check.NewIncremental(m, check.WithConfig(check.Config{Retain: true}))
 	if v := inc.Append(h); v != check.Yes {
 		t.Fatalf("retention incremental verdict %v, want Yes", v)
 	}

@@ -36,16 +36,16 @@ import (
 // The frontier advances at quiescent cuts: points where no operation is
 // pending and the history so far is linearizable. Cutting at an arbitrary
 // point would be unsound (a pending operation may have to linearize before
-// already-seen operations); under WithRetention, strongly-ordered models can
-// additionally opt in to commit-point-order cuts (RetentionPolicy.CommitCuts,
-// commitcut.go), which commit through points straddled only by pending
-// producers whose commit position provably lies behind the cut — bounding
-// retention even on streams that never globally quiesce. In the default
-// full-witness mode the frontier is the single
-// state reached by the discovered witness — possibly the wrong choice, which
-// the fallback repairs — and the whole history is retained forever.
+// already-seen operations); under retention (Config.Retain), strongly-ordered
+// models can additionally opt in to commit-point-order cuts
+// (RetentionPolicy.CommitCuts, commitcut.go), which commit through points
+// straddled only by pending producers whose commit position provably lies
+// behind the cut — bounding retention even on streams that never globally
+// quiesce. In the default full-witness mode the frontier is the single state
+// reached by the discovered witness — possibly the wrong choice, which the
+// fallback repairs — and the whole history is retained forever.
 //
-// With WithRetention the monitor instead keeps memory O(window): the frontier
+// With Config.Retain the monitor instead keeps memory O(window): the frontier
 // is the exact set of states reachable by any linearization of the committed
 // prefix (FinalStates), which makes a failed segment check a sound refutation
 // with no full-history fallback, and lets the committed prefix be discarded
@@ -159,37 +159,6 @@ func (p RetentionPolicy) withDefaults() RetentionPolicy {
 
 // IncOption configures an Incremental monitor.
 type IncOption func(*Incremental)
-
-// WithRetention opts in to bounded-memory monitoring under the given policy
-// (zero values take defaults): committed prefixes behind the quiescent-cut
-// frontier are garbage-collected, summarised as the exact set of sequential
-// states any of their linearizations can reach. Thin wrapper over Config
-// (sets Retain and Retention); prefer assembling a Config when the
-// configuration travels — this option remains for per-knob call sites.
-func WithRetention(p RetentionPolicy) IncOption {
-	return func(inc *Incremental) {
-		inc.cfg.Retain = true
-		inc.cfg.Retention = p
-	}
-}
-
-// WithParallelism runs segment checks and frontier enumerations on up to n
-// workers when the frontier holds several live states (the per-state
-// subproblems are independent; see parallel.go). n <= 1 keeps the engine
-// strictly sequential. Verdicts and IncStats are identical to the sequential
-// engine's under any scheduling — the join commits outcomes in frontier
-// order up to the first witness — so parallelism is purely a latency knob.
-// Multi-state frontiers only arise under WithRetention; without it the
-// option is accepted but the fan-out never triggers. Thin wrapper over
-// Config.Parallelism.
-func WithParallelism(n int) IncOption {
-	return func(inc *Incremental) {
-		if n < 1 {
-			n = 1
-		}
-		inc.cfg.Parallelism = n
-	}
-}
 
 // IncStats counts what the incremental pipeline actually did; EXPERIMENTS.md
 // records them and cmd/stress prints them. Counters are cumulative over the
@@ -333,7 +302,7 @@ func (inc *Incremental) Append(delta history.History) Verdict {
 
 // checkSegment decides whether the events after the cut linearize from some
 // frontier state, running each live state's pipeline (runState) in frontier
-// order up to the first witness. With WithParallelism and at least two live
+// order up to the first witness. With Config.Parallelism and at least two live
 // frontier states the pipelines fan out across the worker pool
 // (checkSegmentParallel) and commit the same outcomes.
 func (inc *Incremental) checkSegment() bool {
@@ -831,7 +800,7 @@ func (inc *Incremental) Verdict() Verdict { return inc.verdict }
 
 // History returns the retained history. In the default full-witness mode that
 // is the whole history — the violation witness once the verdict is No. Under
-// WithRetention it is only the window since the GC horizon (Discarded says
+// retention it is only the window since the GC horizon (Discarded says
 // how much is gone); on a violation the window is frozen as the witness.
 // Callers must not modify it.
 func (inc *Incremental) History() history.History { return inc.h }
@@ -881,7 +850,7 @@ func (inc *Incremental) Parallelism() int {
 }
 
 // WorkerStats returns a copy of the per-worker-slot diagnostics, or nil
-// without WithParallelism. Unlike IncStats these are scheduling-dependent
+// without Config.Parallelism. Unlike IncStats these are scheduling-dependent
 // (see WorkerStat).
 func (inc *Incremental) WorkerStats() []WorkerStat {
 	if inc.wstats == nil {

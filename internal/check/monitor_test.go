@@ -100,7 +100,7 @@ func TestForModelAgreesWithWG(t *testing.T) {
 				{"BruteForceLinearizable", verdictOf(BruteForceLinearizable(tc.m, h))},
 				{ForModel(tc.m).Name(), ForModel(tc.m).Check(h)},
 				{"incremental", incrementalVerdict(tc.m, h)},
-				{"incremental-retained", incrementalVerdict(tc.m, h, WithRetention(RetentionPolicy{}))},
+				{"incremental-retained", incrementalVerdict(tc.m, h, WithConfig(Config{Retain: true}))},
 			} {
 				if got.v != want {
 					t.Errorf("%s = %v, want %v\n%s", got.who, got.v, want, h.String())

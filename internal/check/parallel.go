@@ -72,8 +72,8 @@ func (c *raceCtl) beaten(pos int32) bool { return c.minYes.Load() < pos }
 
 // runParallel executes task(slot, 0..n-1) on at most workers goroutines; the
 // caller's goroutine is slot 0, so workers<=1 (or n<=1) degenerates to an
-// inline loop with no goroutine, channel or atomic traffic — WithParallelism(1)
-// is the sequential engine, not a slower copy of it. Tasks are claimed off a
+// inline loop with no goroutine, channel or atomic traffic — Parallelism 1 is
+// the sequential engine, not a slower copy of it. Tasks are claimed off a
 // shared counter in index order.
 func runParallel(n, workers int, task func(slot, idx int)) {
 	if workers > n {
@@ -257,7 +257,7 @@ func (inc *Incremental) commit(i int, o segOutcome) bool {
 // Shards drives a fixed set of independent Incremental monitors — one per
 // verification shard (object or stream) — through one bounded worker pool.
 // This is the second fan-out axis of the parallel engine: where
-// WithParallelism splits one segment check across frontier states, Shards
+// Config.Parallelism splits one segment check across frontier states, Shards
 // overlaps whole monitors, which is how a deployment watching many objects
 // uses all cores without one slow shard serialising the rest. Shards are
 // fully independent (own model Init, own history), so no detaching or race

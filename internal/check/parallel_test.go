@@ -33,14 +33,13 @@ func splitBursts(h history.History, c int) []history.History {
 // stream and fails on any divergence in verdicts, stats or retained state.
 func runEquiv(t *testing.T, m spec.Model, bursts []history.History, pol *RetentionPolicy, workers int, label string) {
 	t.Helper()
-	var seqOpts, parOpts []IncOption
+	var cfg Config
 	if pol != nil {
-		seqOpts = append(seqOpts, WithRetention(*pol))
-		parOpts = append(parOpts, WithRetention(*pol))
+		cfg = Config{Retain: true, Retention: *pol}
 	}
-	parOpts = append(parOpts, WithParallelism(workers))
-	seq := NewIncremental(m, seqOpts...)
-	par := NewIncremental(m, parOpts...)
+	seq := NewIncremental(m, WithConfig(cfg))
+	cfg.Parallelism = workers
+	par := NewIncremental(m, WithConfig(cfg))
 	for k, b := range bursts {
 		vs := seq.Append(b)
 		vp := par.Append(b)
@@ -109,8 +108,8 @@ func TestParallelFrontierEquivalence(t *testing.T) {
 // and the parallel engine actually fans out (ParallelRounds advances).
 func TestFrontierWorkloadShape(t *testing.T) {
 	pol := RetentionPolicy{GCBatch: 32}
-	seq := NewIncremental(spec.Queue(), WithRetention(pol))
-	par := NewIncremental(spec.Queue(), WithRetention(pol), WithParallelism(4))
+	seq := NewIncremental(spec.Queue(), WithConfig(Config{Retain: true, Retention: pol}))
+	par := NewIncremental(spec.Queue(), WithConfig(Config{Retain: true, Retention: pol, Parallelism: 4}))
 	bursts := trace.FrontierRounds(3, false)
 	for k, b := range bursts {
 		if seq.Append(b) != Yes || par.Append(b) != Yes {
@@ -155,7 +154,7 @@ func TestParallelFanOutRace(t *testing.T) {
 	}
 	pol := RetentionPolicy{GCBatch: 32}
 	for _, revealFirst := range []bool{true, false} {
-		par := NewIncremental(spec.Queue(), WithRetention(pol), WithParallelism(8))
+		par := NewIncremental(spec.Queue(), WithConfig(Config{Retain: true, Retention: pol, Parallelism: 8}))
 		for k, b := range trace.FrontierRounds(rounds, revealFirst) {
 			if par.Append(b) != Yes {
 				t.Fatalf("revealFirst=%v: burst %d refuted a correct stream", revealFirst, k)

@@ -35,7 +35,7 @@ func TestRetainedEquivalence(t *testing.T) {
 				h = trace.Mutate(h, seed*31)
 			}
 			rng := rand.New(rand.NewSource(seed * 7))
-			inc := NewIncremental(m, WithRetention(tightPolicy))
+			inc := NewIncremental(m, WithConfig(Config{Retain: true, Retention: tightPolicy}))
 			prefix := 0
 			for _, delta := range chunks(h, rng) {
 				prefix += len(delta)
@@ -74,7 +74,7 @@ func TestRetentionFrontierMultiState(t *testing.T) {
 		return oneOp(0, id, spec.Operation{Method: spec.MethodDeq}, spec.ValueResp(val))
 	}
 
-	inc := NewIncremental(spec.Queue(), WithRetention(tightPolicy))
+	inc := NewIncremental(spec.Queue(), WithConfig(Config{Retain: true, Retention: tightPolicy}))
 	if inc.Append(concurrent) != Yes {
 		t.Fatal("concurrent enqueues refuted")
 	}
@@ -91,12 +91,12 @@ func TestRetentionFrontierMultiState(t *testing.T) {
 		t.Fatal("Deq()=1 after Deq()=2 refuted")
 	}
 
-	bad := NewIncremental(spec.Queue(), WithRetention(tightPolicy))
+	bad := NewIncremental(spec.Queue(), WithConfig(Config{Retain: true, Retention: tightPolicy}))
 	bad.Append(concurrent)
 	if bad.Append(deq(3, 3)) != No {
 		t.Fatal("Deq()=3 accepted — GC made refutation unsound")
 	}
-	bad2 := NewIncremental(spec.Queue(), WithRetention(tightPolicy))
+	bad2 := NewIncremental(spec.Queue(), WithConfig(Config{Retain: true, Retention: tightPolicy}))
 	bad2.Append(concurrent)
 	bad2.Append(deq(3, 1))
 	if bad2.Append(deq(4, 2)) != Yes {
@@ -113,7 +113,7 @@ func TestRetentionFrontierMultiState(t *testing.T) {
 func TestRetentionBoundedMemory(t *testing.T) {
 	const ops = 5000
 	m := spec.Counter()
-	inc := NewIncremental(m, WithRetention(RetentionPolicy{GCBatch: 32, KeepEvents: 16}))
+	inc := NewIncremental(m, WithConfig(Config{Retain: true, Retention: RetentionPolicy{GCBatch: 32, KeepEvents: 16}}))
 	var id uint64
 	maxRetained := 0
 	for i := 0; i < ops; i++ {
@@ -204,7 +204,7 @@ func TestResetKeepsStats(t *testing.T) {
 // effect.
 func TestReloadWindowKeepsBase(t *testing.T) {
 	m := spec.Counter()
-	inc := NewIncremental(m, WithRetention(tightPolicy))
+	inc := NewIncremental(m, WithConfig(Config{Retain: true, Retention: tightPolicy}))
 	var id uint64
 	for i := 0; i < 50; i++ {
 		id++
@@ -243,7 +243,7 @@ func TestRetentionFuzz(t *testing.T) {
 				GCBatch:    1 + rng.Intn(32),
 				KeepEvents: rng.Intn(16),
 			}
-			inc := NewIncremental(m, WithRetention(pol))
+			inc := NewIncremental(m, WithConfig(Config{Retain: true, Retention: pol}))
 			prefix := 0
 			for _, delta := range chunks(h, rng) {
 				prefix += len(delta)
@@ -344,7 +344,7 @@ func TestPersistentSearchResume(t *testing.T) {
 // converged again resumes GC.
 func TestRetentionOverflowRecovers(t *testing.T) {
 	m := spec.Queue()
-	inc := NewIncremental(m, WithRetention(RetentionPolicy{GCBatch: 1, MaxFrontierStates: 2}))
+	inc := NewIncremental(m, WithConfig(Config{Retain: true, Retention: RetentionPolicy{GCBatch: 1, MaxFrontierStates: 2}}))
 	enq := func(proc int, id uint64, v int64) (history.Event, history.Event) {
 		op := spec.Operation{Method: spec.MethodEnq, Arg: v, Uniq: id}
 		return history.Event{Kind: history.Invoke, Proc: proc, ID: id, Op: op},

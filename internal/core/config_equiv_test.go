@@ -11,8 +11,8 @@ import (
 
 // TestDecoupledConfigResolution: WithDecoupledConfig lands unchanged in the
 // pipeline's monitor Config (verifiers=0 builds the structure without
-// starting goroutines), a later WithDecoupledConfig replaces an earlier one,
-// and full-recheck drops retention as documented.
+// starting goroutines), and a later WithDecoupledConfig replaces an earlier
+// one.
 func TestDecoupledConfigResolution(t *testing.T) {
 	obj := genlin.Linearizability(spec.Counter())
 	build := func(opts ...DecoupledOption) *Decoupled {
@@ -27,15 +27,5 @@ func TestDecoupledConfigResolution(t *testing.T) {
 	replaced := build(WithDecoupledConfig(cfg), WithDecoupledConfig(check.Config{Retain: true}))
 	if replaced.monitor != (check.Config{Retain: true}) {
 		t.Fatalf("a later WithDecoupledConfig did not replace the earlier one: %+v", replaced.monitor)
-	}
-	// Full-recheck has no incremental monitor; retention is dropped whichever
-	// order the options come in.
-	for _, full := range []*Decoupled{
-		build(WithFullRecheck(), WithDecoupledConfig(cfg)),
-		build(WithDecoupledConfig(cfg), WithFullRecheck()),
-	} {
-		if full.monitor.Retain || full.monitor.Retention != (check.RetentionPolicy{}) {
-			t.Fatalf("full-recheck kept retention: %+v", full.monitor)
-		}
 	}
 }

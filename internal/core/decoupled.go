@@ -35,8 +35,8 @@ import (
 //     iteration.
 //
 // With a single verifier goroutine the dispatcher scans and checks by
-// itself. WithFullRecheck restores the paper-literal quadratic loop, kept
-// for A/B benchmarks (bench_test.go) and as a correctness oracle.
+// itself. The paper-literal loop body survives only as the B8 benchmark
+// baseline (internal/soak FullRecheck).
 type Decoupled struct {
 	n   int
 	drv *DRV
@@ -49,9 +49,8 @@ type Decoupled struct {
 	wg       sync.WaitGroup
 	scanWg   sync.WaitGroup
 	batches  chan tupleBatch
-	full     bool
 
-	monitor check.Config // dispatcher monitor configuration (Retain cleared under full recheck)
+	monitor check.Config // dispatcher monitor configuration
 	retain  bool         // monitor.Retain — the assembler/scanner release machinery is on
 	// epochs[p] tracks, for process p's result cons-list, how deep each
 	// verifier shard (its owning scanner and the dispatcher) has consumed, so
@@ -105,19 +104,12 @@ type DecoupledOption func(*decoupledCfg)
 
 type decoupledCfg struct {
 	drvOpts []Option
-	full    bool
 	monitor check.Config
 }
 
 // WithDecoupledDRV forwards options to the underlying A* construction.
 func WithDecoupledDRV(opts ...Option) DecoupledOption {
 	return func(c *decoupledCfg) { c.drvOpts = append(c.drvOpts, opts...) }
-}
-
-// WithFullRecheck replaces the incremental pipeline with the paper-literal
-// verifier loop that re-decides the whole published history every iteration.
-func WithFullRecheck() DecoupledOption {
-	return func(c *decoupledCfg) { c.full = true }
 }
 
 // WithDecoupledConfig configures the dispatcher's monitor with a
@@ -129,9 +121,8 @@ func WithFullRecheck() DecoupledOption {
 // has consumed past them (conslist.Epoch). Parallelism overlaps the
 // independent per-frontier-state segment searches of one ingest pass on a
 // worker pool; it only fans out together with retention (the full-witness
-// monitor keeps a single-state frontier). Incompatible with WithFullRecheck
-// (the paper-literal loop has no incremental monitor); full-recheck wins and
-// the Config's retention is dropped if both are given.
+// monitor keeps a single-state frontier). A later WithDecoupledConfig
+// replaces an earlier one.
 func WithDecoupledConfig(mc check.Config) DecoupledOption {
 	return func(c *decoupledCfg) { c.monitor = mc }
 }
@@ -139,17 +130,11 @@ func WithDecoupledConfig(mc check.Config) DecoupledOption {
 // NewDecoupled builds D_{O,A} with the given number of verifier goroutines.
 // onReport is called from the verification pipeline when a violation is
 // found; reports are deduplicated (one per violation — violations are sticky
-// by prefix-closure), except under WithFullRecheck, which reports in every
-// iteration as the paper's Figure 12 does. Close must be called to stop the
-// verifiers.
+// by prefix-closure). Close must be called to stop the verifiers.
 func NewDecoupled(inner Implementation, n, verifiers int, obj genlin.Object, onReport func(Report), opts ...DecoupledOption) *Decoupled {
 	var cfg decoupledCfg
 	for _, opt := range opts {
 		opt(&cfg)
-	}
-	if cfg.full {
-		cfg.monitor.Retain = false
-		cfg.monitor.Retention = check.RetentionPolicy{}
 	}
 	d := &Decoupled{
 		n:        n,
@@ -159,18 +144,10 @@ func NewDecoupled(inner Implementation, n, verifiers int, obj genlin.Object, onR
 		res:      make([]*conslist.Node[Tuple], n),
 		onReport: onReport,
 		stop:     make(chan struct{}),
-		full:     cfg.full,
 		monitor:  cfg.monitor,
 		retain:   cfg.monitor.Retain,
 	}
 	if verifiers <= 0 {
-		return d
-	}
-	if d.full {
-		for j := 0; j < verifiers; j++ {
-			d.wg.Add(1)
-			go d.fullVerifyLoop(j)
-		}
 		return d
 	}
 	if d.retain {
@@ -446,36 +423,6 @@ func (d *Decoupled) dispatch(scanners int) {
 			absorb(b, true)
 			settle()
 		}
-	}
-}
-
-// fullVerifyLoop is operation Verify() of Figure 12 (Lines 06–12), verbatim:
-// flatten the whole sketch, rebuild X(τ) and re-decide membership on every
-// iteration, reporting every time a violation is seen.
-func (d *Decoupled) fullVerifyLoop(j int) {
-	defer d.wg.Done()
-	for {
-		select {
-		case <-d.stop:
-			return
-		default:
-		}
-		heads := d.m.Scan(0)
-		d.scans.Add(1)
-		var tuples []Tuple
-		for _, h := range heads {
-			tuples = append(tuples, h.Ascending()...)
-		}
-		x, err := BuildHistory(tuples, d.n)
-		if err != nil || !d.obj.Contains(x) {
-			d.statsMu.Lock()
-			d.stats.Reports++
-			d.statsMu.Unlock()
-			if d.onReport != nil {
-				d.onReport(Report{Proc: -1 - j, Witness: x})
-			}
-		}
-		runtime.Gosched()
 	}
 }
 

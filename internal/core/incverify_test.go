@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/check"
 	"repro/internal/conslist"
@@ -279,36 +278,5 @@ func TestDecoupledReportDedup(t *testing.T) {
 	}
 	if st := d.Stats(); st.Reports != 1 {
 		t.Fatalf("stats disagree: %+v", st)
-	}
-}
-
-// TestDecoupledFullRecheckMode: the legacy mode still behaves like the
-// paper's literal loop — it detects, and it reports repeatedly.
-func TestDecoupledFullRecheckMode(t *testing.T) {
-	var mu sync.Mutex
-	reports := 0
-	d := NewDecoupled(impls.NewFaulty(impls.NewAtomicCounter(), impls.StaleRead, 2, 5),
-		1, 2, genlin.Linearizability(spec.Counter()), func(r Report) {
-			mu.Lock()
-			reports++
-			mu.Unlock()
-		}, WithFullRecheck())
-	var uniq trace.UniqSource
-	gen := trace.NewOpGen("counter", 9, &uniq)
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		d.Apply(0, gen.Next())
-		mu.Lock()
-		n := reports
-		mu.Unlock()
-		if n > 0 {
-			break
-		}
-	}
-	d.Close()
-	mu.Lock()
-	defer mu.Unlock()
-	if reports == 0 {
-		t.Fatal("legacy loop detected nothing")
 	}
 }

@@ -99,14 +99,15 @@ func ResumeIncVerifier(n int, obj genlin.Object, inc *check.Incremental) (*IncVe
 // with ResumeIncVerifier. It must be called after Close: the dispatcher owns
 // the monitor until its final drain, and Close's wait is the happens-before
 // edge that makes the image a settled snapshot rather than a data race.
-// It errors under WithFullRecheck and on the generic-object path, neither of
-// which has an incremental monitor to export.
+// It errors when the pipeline was built without verifiers and on the
+// generic-object path, neither of which has an incremental monitor to
+// export.
 func (d *Decoupled) CheckpointMonitor() (*check.MonitorImage, error) {
 	d.statsMu.Lock()
 	iv := d.verifier
 	d.statsMu.Unlock()
 	if iv == nil {
-		return nil, errors.New("core: no incremental verification pipeline to checkpoint (full recheck, or no verifiers)")
+		return nil, errors.New("core: no incremental verification pipeline to checkpoint (no verifiers)")
 	}
 	if iv.inc == nil {
 		return nil, errors.New("core: generic-object pipeline has no monitor image")

@@ -135,8 +135,8 @@ func TestResumeIncVerifierRejects(t *testing.T) {
 
 // TestDecoupledCheckpointMonitor: the export half — after Close, the
 // dispatcher's monitor is checkpointable, the image restores, and a pipeline
-// resumed from it picks up with the settled verdict. Under WithFullRecheck
-// there is nothing to export and the call says so.
+// resumed from it picks up with the settled verdict. A pipeline built
+// without verifiers has nothing to export and the call says so.
 func TestDecoupledCheckpointMonitor(t *testing.T) {
 	const procs, perProc = 3, 40
 	obj := genlin.Linearizability(spec.Counter())
@@ -172,9 +172,9 @@ func TestDecoupledCheckpointMonitor(t *testing.T) {
 		t.Fatalf("ResumeIncVerifier on exported image: %v", err)
 	}
 
-	full := NewDecoupled(impls.NewAtomicCounter(), 1, 2, obj, nil, WithFullRecheck())
-	full.Close()
-	if _, err := full.CheckpointMonitor(); err == nil {
-		t.Fatal("full-recheck pipeline exported a monitor image")
+	idle := NewDecoupled(impls.NewAtomicCounter(), 1, 0, obj, nil)
+	idle.Close()
+	if _, err := idle.CheckpointMonitor(); err == nil {
+		t.Fatal("pipeline without verifiers exported a monitor image")
 	}
 }

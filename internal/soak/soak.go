@@ -4,8 +4,8 @@
 // comparison, window bound), the B10 checker-allocation workloads (model,
 // concurrency, seed) and the B11 parallel shard-verification workload
 // (shard count, histories, worker widths). Sharing one definition keeps the
-// benchmarks and their gates from drifting onto different workloads. The
-// B12 never-quiescent commit-cut soak, the B13 fast-tier workload and the
+// benchmarks and their gates from drifting onto different workloads. The B8
+// baseline (the paper-literal Figure 12 loop body), the B12 never-quiescent commit-cut soak, the B13 fast-tier workload and the
 // B14 durable-checkpoint soak live here for the same reason.
 package soak
 
@@ -101,6 +101,26 @@ func Publish(m spec.Model, procs, ops int) []core.Tuple {
 	return tuples
 }
 
+// FullRecheck is the B8 baseline: the body of the paper's Figure 12
+// verifier loop (§9.2, Lines 06–12) run once per publication of tuples —
+// flatten the sketch's first k tuples, rebuild X(τ) with core.BuildHistory
+// and re-decide membership of the whole prefix, for every k. It returns the
+// first prefix that fails to assemble or is refuted. BenchmarkDecoupledVerify
+// and the cmd/perfgate B8 gate both time this one body, so the baseline they
+// compare the incremental pipeline against cannot drift apart.
+func FullRecheck(obj genlin.Object, tuples []core.Tuple, procs int) error {
+	for k := 1; k <= len(tuples); k++ {
+		x, err := core.BuildHistory(tuples[:k], procs)
+		if err != nil {
+			return fmt.Errorf("prefix %d: %w", k, err)
+		}
+		if !obj.Contains(x) {
+			return fmt.Errorf("prefix %d refuted", k)
+		}
+	}
+	return nil
+}
+
 // B12Models returns the strongly-ordered model set of the B12 commit-point-
 // cut family: the models implementing spec.StronglyOrdered, for which
 // commit-point-order cuts are available.
@@ -124,11 +144,11 @@ const B12Burst = 64
 func RunNeverQuiescent(m spec.Model, ops, workers int, policy check.RetentionPolicy, commitCuts bool) Result {
 	policy.CommitCuts = commitCuts
 	h := trace.NeverQuiescent(m, 29, 5, ops)
-	opts := []check.IncOption{check.WithRetention(policy)}
+	cfg := check.Config{Retain: true, Retention: policy}
 	if workers > 1 {
-		opts = append(opts, check.WithParallelism(workers))
+		cfg.Parallelism = workers
 	}
-	retained := check.NewIncremental(m, opts...)
+	retained := check.NewIncremental(m, check.WithConfig(cfg))
 	oracle := check.NewIncremental(m)
 	res := Result{Events: len(h), Bound: WindowBound(policy), DivergedAt: -1}
 	for k := 0; len(h) > 0; k++ {
@@ -201,11 +221,11 @@ func (r B14Result) Ok() bool {
 func RunCheckpointSoak(m spec.Model, ops, workers int, policy check.RetentionPolicy, commitCuts bool) B14Result {
 	policy.CommitCuts = commitCuts
 	h := trace.NeverQuiescent(m, 29, 5, ops)
-	opts := []check.IncOption{check.WithRetention(policy)}
+	cfg := check.Config{Retain: true, Retention: policy}
 	if workers > 1 {
-		opts = append(opts, check.WithParallelism(workers))
+		cfg.Parallelism = workers
 	}
-	primary := check.NewIncremental(m, opts...)
+	primary := check.NewIncremental(m, check.WithConfig(cfg))
 	res := B14Result{Events: len(h), Bound: B14ByteBound(policy), RestoredAt: -1, DivergedAt: -1}
 	fail := func(k int, err error) {
 		if res.Err == "" {

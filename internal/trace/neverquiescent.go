@@ -26,7 +26,7 @@ func neverQuiescentMethods(model string) (producer, observer string, ok bool) {
 // linearizable by construction and never globally quiescent: from the first
 // event to the last, every boundary strictly inside the history has at least
 // one operation pending. It is the workload behind the B12 family — the
-// stream shape on which quiescent-cut retention (check.WithRetention)
+// stream shape on which quiescent-cut retention (check.Config.Retain)
 // degrades to unbounded growth, and which commit-point-order cuts
 // (check.RetentionPolicy.CommitCuts) keep bounded.
 //

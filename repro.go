@@ -125,8 +125,9 @@ func NewVerifier(drv *DRV, obj Object) *Verifier { return core.NewVerifier(drv, 
 // run the incremental sharded pipeline of DESIGN.md §2 (delta checking with
 // deduplicated reports — one per violation); onReport is called from
 // verifier goroutines. Close it when done: it first drains and verifies
-// everything published. Options: WithRetention bounds the pipeline's memory
-// to the monitoring window (DESIGN.md §2b).
+// everything published. Options: WithConfig configures the pipeline's
+// monitor, e.g. Config{Retain: true} bounds its memory to the monitoring
+// window (DESIGN.md §2b).
 func NewDecoupled(inner Implementation, n, verifiers int, m Model, onReport func(Report), opts ...DecoupledOption) *Decoupled {
 	return core.NewDecoupled(inner, n, verifiers, genlin.Linearizability(m), onReport, opts...)
 }
@@ -138,12 +139,15 @@ type DecoupledOption = core.DecoupledOption
 // check.RetentionPolicy for the trade-offs.
 type RetentionPolicy = check.RetentionPolicy
 
-// WithRetention makes the decoupled verification pipeline garbage-collect
-// committed history behind its quiescent-cut frontier, keeping memory
-// O(window) instead of O(history) with verdicts unchanged (DESIGN.md §2b).
-func WithRetention(p RetentionPolicy) DecoupledOption {
-	return core.WithDecoupledConfig(check.Config{Retain: true, Retention: p})
-}
+// Config is the monitor configuration: retention (bounded memory, DESIGN.md
+// §2b), parallelism and the fast tier. The zero Config is the default. See
+// check.Config for the fields.
+type Config = check.Config
+
+// WithConfig configures the decoupled verification pipeline's monitor with a
+// Config; Config{Retain: true} keeps memory O(window) instead of O(history)
+// with verdicts unchanged.
+var WithConfig = core.WithDecoupledConfig
 
 // Reference implementations of the paper's objects, usable as the black box
 // A in examples and tests.

@@ -86,7 +86,7 @@ func TestFacadeDecoupled(t *testing.T) {
 func TestFacadeDecoupledRetention(t *testing.T) {
 	reports := 0
 	d := NewDecoupled(NewAtomicCounter(), 2, 2, Counter(),
-		func(Report) { reports++ }, WithRetention(RetentionPolicy{GCBatch: 1}))
+		func(Report) { reports++ }, WithConfig(Config{Retain: true, Retention: RetentionPolicy{GCBatch: 1}}))
 	for i := uint64(1); i <= 200; i++ {
 		d.Apply(0, Operation{Method: "Inc", Uniq: i})
 	}
