@@ -3,9 +3,12 @@ package check
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"repro/internal/history"
 	"repro/internal/spec"
 	"repro/internal/trace"
 )
@@ -162,23 +165,44 @@ func TestCheckpointEveryBoundary(t *testing.T) {
 }
 
 // TestCheckpointRefutedMonitor: a refuted monitor survives the round trip
-// with its verdict, error and witness window intact, and stays sticky.
+// with its verdict, error and witness window intact, and stays sticky. It
+// checks two refutations: a non-linearizable history, whose Err is nil, and
+// an ill-formed one, whose Err says why. The first is the first mutation,
+// by seed, that refutes: most mutations of one linearizable history stay
+// linearizable, so a fixed seed is not enough.
 func TestCheckpointRefutedMonitor(t *testing.T) {
 	m := spec.Queue()
-	h := trace.Mutate(trace.RandomLinearizable(m, 8, 3, 30), 99)
-	inc := NewIncremental(m, WithConfig(Config{Retain: true, Retention: RetentionPolicy{GCBatch: 8}}))
-	if inc.Append(h) != No {
-		t.Skip("mutation did not refute; seed drifted")
+	cfg := WithConfig(Config{Retain: true, Retention: RetentionPolicy{GCBatch: 8}})
+	base := trace.RandomLinearizable(m, 8, 3, 30)
+	var refuted *Incremental
+	for seed := int64(0); seed < 200 && refuted == nil; seed++ {
+		if inc := NewIncremental(m, cfg); inc.Append(trace.Mutate(base, seed)) == No {
+			refuted = inc
+		}
 	}
-	restored := roundTripImage(t, inc)
-	if restored.Verdict() != No {
-		t.Fatalf("restored verdict %v, want No", restored.Verdict())
+	if refuted == nil {
+		t.Fatal("no mutation seed in 0..199 refutes the base history")
 	}
-	if len(restored.History()) != len(inc.History()) {
-		t.Fatalf("restored witness window %d events, want %d", len(restored.History()), len(inc.History()))
+	illFormed := NewIncremental(m, cfg)
+	stray := history.Event{Kind: history.Return, Proc: 2, ID: 1 << 40,
+		Op: spec.Operation{Method: spec.MethodDeq, Uniq: 1 << 40}, Res: spec.EmptyResp()}
+	if v := illFormed.Append(append(slices.Clone(base[:6]), stray)); v != No || illFormed.Err() == nil {
+		t.Fatalf("a return without its invocation: verdict %v, err %v; want No with an error", v, illFormed.Err())
 	}
-	if v := restored.Append(trace.RandomLinearizable(m, 9, 3, 4)); v != No {
-		t.Fatalf("restored refuted monitor answered %v to an extension, want sticky No", v)
+	for _, inc := range []*Incremental{refuted, illFormed} {
+		restored := roundTripImage(t, inc)
+		if restored.Verdict() != No {
+			t.Fatalf("restored verdict %v, want No", restored.Verdict())
+		}
+		if fmt.Sprint(restored.Err()) != fmt.Sprint(inc.Err()) {
+			t.Fatalf("restored error %v, want %v", restored.Err(), inc.Err())
+		}
+		if len(restored.History()) != len(inc.History()) {
+			t.Fatalf("restored witness window %d events, want %d", len(restored.History()), len(inc.History()))
+		}
+		if v := restored.Append(trace.RandomLinearizable(m, 9, 3, 4)); v != No {
+			t.Fatalf("restored refuted monitor answered %v to an extension, want sticky No", v)
+		}
 	}
 }
 

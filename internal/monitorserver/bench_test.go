@@ -16,10 +16,12 @@ import (
 // BenchmarkLoopbackIngest measures the whole loopback ingest path — client
 // encode, server decode/convert/stage, one-shard Append, ack round-trip —
 // with one iteration per acked batch. allocs/op is the headline number: the
-// reader path's per-batch garbage (frame, batch, events backing array) is
-// what the reused per-connection decode buffer removed; EXPERIMENTS.md
-// records the before/after. The counter model keeps the monitor's own cost
-// small so the wire path dominates. A fresh object per pass lets the same
+// server's reader scans each events frame straight into the batch's History
+// (monitorapi.FrameDecoder, one allocation per frame) and its writer
+// appends acks into a buffered writer without reflection, so what remains is
+// mostly the client's json.Encoder and the monitor; EXPERIMENTS.md records
+// the before/after. The counter model keeps the monitor's own cost small so
+// the wire path dominates. A fresh object per pass lets the same
 // deterministic batches replay against a fresh monitor, whatever b.N is.
 func BenchmarkLoopbackIngest(b *testing.B) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

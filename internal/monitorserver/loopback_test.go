@@ -430,24 +430,37 @@ func TestOverload(t *testing.T) {
 	release.Do(func() { close(gate) })
 }
 
-// TestBadFrames: protocol violations get error frames, not hangs.
+// TestBadFrames: protocol violations get error frames, not hangs. A frame is
+// one JSON object on one line: malformed JSON, a second object on the line
+// and a frame split across lines are bad frames, answered before the close.
 func TestBadFrames(t *testing.T) {
 	srv := startServer(t, monitorserver.Options{})
+	frame := func(f monitorapi.ClientFrame) string {
+		b, err := json.Marshal(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b) + "\n"
+	}
 	for _, tc := range []struct {
-		name  string
-		frame monitorapi.ClientFrame
-		want  string
+		name string
+		line string
+		want string
 	}{
-		{"events before open", monitorapi.ClientFrame{Type: monitorapi.FrameEvents,
-			Batch: &monitorapi.EventBatch{Seq: 1}}, "events before open"},
-		{"unknown model", monitorapi.ClientFrame{Type: monitorapi.FrameOpen,
-			Open: &monitorapi.Open{Version: 1, Tenant: "t", Object: "o", Model: "btree"}}, "unknown model"},
-		{"bad version", monitorapi.ClientFrame{Type: monitorapi.FrameOpen,
-			Open: &monitorapi.Open{Version: 99, Tenant: "t", Object: "o", Model: "queue"}}, "version"},
-		{"bad config", monitorapi.ClientFrame{Type: monitorapi.FrameOpen,
+		{"events before open", frame(monitorapi.ClientFrame{Type: monitorapi.FrameEvents,
+			Batch: &monitorapi.EventBatch{Seq: 1}}), "events before open"},
+		{"unknown model", frame(monitorapi.ClientFrame{Type: monitorapi.FrameOpen,
+			Open: &monitorapi.Open{Version: 1, Tenant: "t", Object: "o", Model: "btree"}}), "unknown model"},
+		{"bad version", frame(monitorapi.ClientFrame{Type: monitorapi.FrameOpen,
+			Open: &monitorapi.Open{Version: 99, Tenant: "t", Object: "o", Model: "queue"}}), "version"},
+		{"bad config", frame(monitorapi.ClientFrame{Type: monitorapi.FrameOpen,
 			Open: &monitorapi.Open{Version: 1, Tenant: "t", Object: "o", Model: "queue",
-				Config: check.Config{Retention: check.RetentionPolicy{KeepEvents: 9}}}}, "retention policy set without retain"},
-		{"unknown frame", monitorapi.ClientFrame{Type: "subscribe"}, "unknown frame type"},
+				Config: check.Config{Retention: check.RetentionPolicy{KeepEvents: 9}}}}), "retention policy set without retain"},
+		{"unknown frame", frame(monitorapi.ClientFrame{Type: "subscribe"}), "unknown frame type"},
+		{"malformed JSON", `{"type":"open",` + "\n", "bad frame: unexpected end of JSON input"},
+		{"ill-typed field", `{"type":"events","batch":{"seq":"one"}}` + "\n", "bad frame: json: cannot unmarshal string"},
+		{"two objects on one line", `{"type":"bye"} {"type":"bye"}` + "\n", "bad frame: invalid character '{' after top-level value"},
+		{"frame split across lines", "{\n  \"type\": \"bye\"\n}\n", "bad frame: unexpected end of JSON input"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			nc, err := net.Dial("tcp", srv.Addr().String())
@@ -458,7 +471,7 @@ func TestBadFrames(t *testing.T) {
 			if err := nc.SetDeadline(time.Now().Add(readDeadline)); err != nil {
 				t.Fatal(err)
 			}
-			if err := json.NewEncoder(nc).Encode(tc.frame); err != nil {
+			if _, err := nc.Write([]byte(tc.line)); err != nil {
 				t.Fatal(err)
 			}
 			var f monitorapi.ServerFrame
@@ -469,6 +482,57 @@ func TestBadFrames(t *testing.T) {
 				t.Fatalf("got %+v, want error containing %q", f, tc.want)
 			}
 		})
+	}
+}
+
+// TestBlankLinesSkipped: lines of JSON whitespace between frames are not
+// frames — a session that sends them is served as if they were absent —
+// and a last frame without its newline is still read.
+func TestBlankLinesSkipped(t *testing.T) {
+	srv := startServer(t, monitorserver.Options{})
+	nc, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	if err := nc.SetDeadline(time.Now().Add(readDeadline)); err != nil {
+		t.Fatal(err)
+	}
+	h := history.NewBuilder().Call(0, spec.MethodEnq, 1, spec.OKResp()).MustHistory(t)
+	wire, err := history.ToWire(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []byte
+	for _, f := range []monitorapi.ClientFrame{
+		{Type: monitorapi.FrameOpen, Open: &monitorapi.Open{Version: 1, Tenant: "t", Object: "blank", Model: "queue"}},
+		{Type: monitorapi.FrameEvents, Batch: &monitorapi.EventBatch{Seq: 1, Events: wire}},
+		{Type: monitorapi.FrameBye},
+	} {
+		b, err := json.Marshal(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(append(out, "\n \t\r\n\n"...), b...)
+		if f.Type != monitorapi.FrameBye {
+			out = append(out, '\n')
+		}
+	}
+	if _, err := nc.Write(out); err != nil {
+		t.Fatal(err)
+	}
+	if err := nc.(*net.TCPConn).CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	dec := json.NewDecoder(nc)
+	for _, want := range []string{monitorapi.FrameHello, monitorapi.FrameAck, monitorapi.FrameStats} {
+		var f monitorapi.ServerFrame
+		if err := dec.Decode(&f); err != nil {
+			t.Fatalf("reading %s: %v", want, err)
+		}
+		if f.Type != want {
+			t.Fatalf("got %+v, want a %s frame", f, want)
+		}
 	}
 }
 

@@ -18,9 +18,11 @@
 // durability, acks, gauges) on the dispatcher as it comes back. An open or
 // bye of an object, and the drain of Close, first settle it: the dispatcher
 // waits for that object's jobs only, after which it may read the monitor.
-// Per-connection reader goroutines decode frames, convert events
-// (history.FromWire) and queue work on a bounded global ingest channel;
-// per-connection writer goroutines drain bounded per-session output queues.
+// Per-connection reader goroutines read one frame per line, decode events
+// frames straight into histories (monitorapi.FrameDecoder) and queue work on
+// a bounded global ingest channel; per-connection writer goroutines drain
+// bounded per-session output queues into a buffered writer
+// (monitorapi.AppendServerFrame) that is flushed whenever the queue runs dry.
 //
 // Backpressure. Three bounds keep server memory finite under slow or hostile
 // clients:
@@ -40,9 +42,10 @@
 package monitorserver
 
 import (
-	"encoding/json"
+	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"math/rand/v2"
 	"net"
@@ -244,7 +247,7 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// serveConn is the reader goroutine: decode frames, convert events, queue
+// serveConn is the reader goroutine: read and decode frames, queue
 // dispatcher work. It spawns the writer and funnels a final opGone so the
 // dispatcher detaches the session however the connection ends.
 func (s *Server) serveConn(conn net.Conn) {
@@ -257,7 +260,11 @@ func (s *Server) serveConn(conn net.Conn) {
 	writer.Add(1)
 	go func() {
 		defer writer.Done()
-		enc := json.NewEncoder(conn)
+		// Frames are appended to a buffered writer, which is flushed only
+		// when the out-queue is empty: the acks of one finished job go out
+		// in one write. The last frame before out closes always finds it
+		// empty, so terminal frames are flushed before the final close.
+		w := bufio.NewWriter(conn)
 		for f := range sess.out {
 			if f.Type == monitorapi.FrameAck {
 				// Return the credit before the ack can reach the wire: a client
@@ -266,52 +273,50 @@ func (s *Server) serveConn(conn net.Conn) {
 				// happened.
 				sess.unacked.Add(-1)
 			}
-			if err := enc.Encode(f); err != nil {
+			line, err := monitorapi.AppendServerFrame(w.AvailableBuffer(), f)
+			if err == nil {
+				_, err = w.Write(line)
+			}
+			if err == nil && len(sess.out) == 0 {
+				err = w.Flush()
+			}
+			if err != nil {
 				sess.close() // keep draining so enqueue never blocks forever
 			}
 		}
 	}()
 
-	dec := json.NewDecoder(conn)
+	br := bufio.NewReaderSize(conn, 16<<10)
+	var dec monitorapi.FrameDecoder
 	opened := false
-	// One decode buffer per connection: pre-setting cf.Batch makes the decoder
-	// fill the same EventBatch every frame, reusing the Events backing array
-	// across batches instead of allocating a fresh one per Decode. Safe because
-	// history.FromWire copies everything it keeps out of the wire slice. Two
-	// decoder subtleties the reuse has to compensate for: elements revived from
-	// spare capacity keep their old field values wherever the JSON omits a key
-	// (the wire format omits zero fields), so the backing array is cleared to
-	// full capacity first; and a missing "batch" key no longer leaves cf.Batch
-	// nil, so absent batches are caught by the seq guard below (batches number
-	// from 1).
-	var batch monitorapi.EventBatch
 loop:
 	for {
-		batch.Seq = 0
-		clear(batch.Events[:cap(batch.Events)])
-		batch.Events = batch.Events[:0]
-		cf := monitorapi.ClientFrame{Batch: &batch}
-		if err := dec.Decode(&cf); err != nil {
+		line, err := readLine(br)
+		if err != nil && (err != io.EOF || len(line) == 0) {
+			break // hung up, or the connection failed mid-line
+		}
+		if blank(line) {
+			continue
+		}
+		f, err := dec.Decode(line)
+		if err != nil {
+			s.abort(sess, monitorapi.FrameError, fmt.Sprintf("bad frame: %v", err))
 			break
 		}
-		switch cf.Type {
+		switch f.Type {
 		case monitorapi.FrameOpen:
-			if opened || cf.Open == nil {
+			if opened || f.Open == nil {
 				s.abort(sess, monitorapi.FrameError, "unexpected open frame")
 				break loop
 			}
 			opened = true
-			s.ingest <- ingestMsg{sess: sess, op: opOpen, open: cf.Open}
+			s.ingest <- ingestMsg{sess: sess, op: opOpen, open: f.Open}
 		case monitorapi.FrameEvents:
-			if !opened || cf.Batch == nil {
+			if !opened {
 				s.abort(sess, monitorapi.FrameError, "events before open")
 				break loop
 			}
-			if cf.Batch.Seq == 0 {
-				// Batches number from 1, so a zero seq means the frame had no
-				// usable batch payload (e.g. an events frame with the batch key
-				// missing, which the reused decode buffer no longer reports as
-				// a nil Batch).
+			if f.Batch == nil || f.Batch.Seq == 0 {
 				s.abort(sess, monitorapi.FrameError, "events frame without a batch (seq numbers from 1)")
 				break loop
 			}
@@ -320,22 +325,21 @@ loop:
 					fmt.Sprintf("credit window of %d batches overrun", sess.window))
 				break loop
 			}
-			h, err := history.FromWire(cf.Batch.Events)
-			if err != nil {
+			if f.EventsErr != nil {
 				s.abort(sess, monitorapi.FrameError,
-					fmt.Sprintf("bad batch %d: %v", cf.Batch.Seq, err))
+					fmt.Sprintf("bad batch %d: %v", f.Batch.Seq, f.EventsErr))
 				break loop
 			}
 			// May block on the global ingest bound; TCP flow control
 			// propagates the stall to the sender.
-			s.ingest <- ingestMsg{sess: sess, op: opBatch, seq: cf.Batch.Seq, h: h}
+			s.ingest <- ingestMsg{sess: sess, op: opBatch, seq: f.Batch.Seq, h: f.Events}
 		case monitorapi.FrameBye:
 			if opened {
 				s.ingest <- ingestMsg{sess: sess, op: opBye}
 			}
 			break loop
 		default:
-			s.abort(sess, monitorapi.FrameError, fmt.Sprintf("unknown frame type %q", cf.Type))
+			s.abort(sess, monitorapi.FrameError, fmt.Sprintf("unknown frame type %q", f.Type))
 			break loop
 		}
 	}
@@ -351,6 +355,37 @@ loop:
 	}
 	writer.Wait()
 	sess.close()
+}
+
+// readLine returns r's next line, newline included. A line longer than r's
+// buffer is gathered into a fresh slice; otherwise the line aliases r's
+// buffer and is valid until the next read. At the end of the stream it
+// returns the unterminated rest, if any, with io.EOF.
+func readLine(r *bufio.Reader) ([]byte, error) {
+	line, err := r.ReadSlice('\n')
+	if err != bufio.ErrBufferFull {
+		return line, err
+	}
+	long := append([]byte(nil), line...)
+	for err == bufio.ErrBufferFull {
+		line, err = r.ReadSlice('\n')
+		long = append(long, line...)
+	}
+	return long, err
+}
+
+// blank reports whether line holds nothing but JSON whitespace. Blank lines
+// between frames are skipped, as the stream decoder before line framing
+// skipped whitespace between values.
+func blank(line []byte) bool {
+	for _, c := range line {
+		switch c {
+		case ' ', '\t', '\r', '\n':
+		default:
+			return false
+		}
+	}
+	return true
 }
 
 // abort sends a terminal frame and closes the connection for reads; the
