@@ -534,7 +534,7 @@ func BenchmarkCommitCutSoak(b *testing.B) {
 			b.Run(name, func(b *testing.B) {
 				maxRetained := 0
 				for i := 0; i < b.N; i++ {
-					r := soak.RunNeverQuiescent(m, ops, 1, soakPolicy, commitCuts)
+					r := soak.RunNeverQuiescent(m, ops, soakPolicy, commitCuts)
 					if !r.Yes || r.DivergedAt >= 0 {
 						b.Fatalf("soak failed: %+v", r)
 					}
@@ -561,7 +561,7 @@ func TestSoakNeverQuiescentB12(t *testing.T) {
 	for _, m := range soak.B12Models() {
 		m := m
 		t.Run(m.Name(), func(t *testing.T) {
-			r := soak.RunNeverQuiescent(m, ops, 1, soakPolicy, true)
+			r := soak.RunNeverQuiescent(m, ops, soakPolicy, true)
 			if r.DivergedAt >= 0 {
 				t.Fatalf("verdicts diverged from the unbounded oracle at burst %d", r.DivergedAt)
 			}
@@ -581,7 +581,7 @@ func TestSoakNeverQuiescentB12(t *testing.T) {
 			}
 			// The degradation control at reduced scale: no quiescent point,
 			// no GC, window == stream.
-			c := soak.RunNeverQuiescent(m, ops/10, 1, soakPolicy, false)
+			c := soak.RunNeverQuiescent(m, ops/10, soakPolicy, false)
 			if c.Discarded != 0 || c.MaxRetained != c.Events {
 				t.Fatalf("quiescent-only control unexpectedly collected: %+v", c)
 			}
@@ -666,7 +666,7 @@ func TestSoakCheckpointRestoreB14(t *testing.T) {
 	if testing.Short() {
 		ops = 20_000
 	}
-	r := soak.RunCheckpointSoak(spec.Queue(), ops, 1, soakPolicy, true)
+	r := soak.RunCheckpointSoak(spec.Queue(), ops, soakPolicy, true)
 	if r.Err != "" {
 		t.Fatalf("checkpoint/restore failed mid-soak: %s", r.Err)
 	}

@@ -68,15 +68,16 @@
 //     checkpoint scaling with history length — or if the restored clone's
 //     verdicts diverge from the uninterrupted primary's.
 //
-// Every gate verdict is also emitted as a uniform {gate, status, value,
-// bound} entry in the JSON (status pass|fail|skip), so the benchmark-
-// trajectory tooling can diff runs across PRs without parsing ad-hoc keys,
-// and each gate has a distinct process exit code (B8=2, B9=3, B10=4, B11=5,
-// B12=6, B13=7, B14=8; setup failures exit 1; 9 belonged to the retired B15
-// gate and is not reused) so CI logs identify the tripped gate from the exit
-// status alone. With several failures the first tripped gate's code wins. The JSON also records the measuring host
-// ({goos, goarch, cpus, gomaxprocs, go_version}) so committed trajectory
-// records say what hardware their numbers mean anything on.
+// The JSON holds only what is gated: the measuring host ({goos, goarch,
+// cpus, gomaxprocs, go_version}), so committed records say what hardware
+// their numbers mean anything on; one uniform {gate, status, value, bound}
+// row per gate (status pass|fail|skip), so the benchmark-trajectory tooling
+// can diff runs across PRs; and the overall pass. Every other measured
+// number is in the stdout lines. Each gate has a distinct process exit code
+// (B8=2, B9=3, B10=4, B11=5, B12=6, B13=7, B14=8; setup failures exit 1; 9
+// belonged to the retired B15 gate and is not reused) so CI logs identify
+// the tripped gate from the exit status alone. With several failures the
+// first tripped gate's code wins.
 //
 // Usage:
 //
@@ -84,9 +85,6 @@
 //	perfgate -ops 1024 -soakops 20000 -b12ops 20000 -b14ops 20000 -out path.json
 //	perfgate -results benchmarks/results     # timestamped record + regenerated
 //	                                         # index.md (the committed convention)
-//	perfgate -baseline -out benchmarks/results/BENCH_PR3.json
-//	                                         # refresh the committed trajectory
-//	                                         # record (reference host only)
 package main
 
 import (
@@ -139,64 +137,12 @@ type gateEntry struct {
 	Bound  float64 `json:"bound"`
 }
 
-// b10Workload is one dense-workload measurement of the B10 allocation gate.
-type b10Workload struct {
-	Name      string  `json:"name"`
-	Model     string  `json:"model"`
-	Ops       int     `json:"ops"`
-	NsPerOp   int64   `json:"ns_per_op"`
-	AllocsOp  int64   `json:"allocs_per_op"`
-	BytesOp   int64   `json:"bytes_per_op"`
-	MaxAllocs int64   `json:"max_allocs_gate,omitempty"`   // dense legs only; the frontier leg's bound is its gates[] row
-	SpeedupX  float64 `json:"speedup_vs_pre_pr,omitempty"` // only with -baseline; see b10PrePRNs
-}
-
+// result is the gates JSON: the measuring host, one row per gate and the
+// overall verdict.
 type result struct {
-	Host           hostInfo      `json:"host"`
-	Ops            int           `json:"ops"`
-	FullNs         int64         `json:"full_recheck_ns"`
-	IncNs          int64         `json:"incremental_ns"`
-	Ratio          float64       `json:"ratio"`
-	MinRatio       float64       `json:"min_ratio"`
-	SoakOps        int           `json:"soak_ops"`
-	SoakRetainedHW int           `json:"soak_retained_events_max"`
-	SoakBound      int           `json:"soak_retained_events_bound"`
-	SoakDiscarded  int           `json:"soak_discarded_events"`
-	SoakNs         int64         `json:"soak_ns"`
-	B10            []b10Workload `json:"b10_checker_allocs"`
-	B11Workers1Ns  int64         `json:"b11_workers1_ns,omitempty"`
-	B11Workers4Ns  int64         `json:"b11_workers4_ns,omitempty"`
-	B11Scale       float64       `json:"b11_scale_4v1,omitempty"`
-	B11MinScale    float64       `json:"b11_min_scale"`
-	B12Ops         int           `json:"b12_ops"`
-	B12RetainedHW  int           `json:"b12_retained_events_max"`
-	B12Bound       int           `json:"b12_retained_events_bound"`
-	B12CommitCuts  int           `json:"b12_commit_cuts"`
-	B12CarriedOps  int           `json:"b12_carried_ops"`
-	B12ControlHW   int           `json:"b12_control_retained_events_max"`
-	B12Ns          int64         `json:"b12_ns"`
-	B13Explored    int           `json:"b13_wg_explored"`
-	B13Steps       int           `json:"b13_tier_steps"`
-	B13Ratio       float64       `json:"b13_explored_steps_ratio"`
-	B13MinRatio    float64       `json:"b13_min_ratio"`
-	B14Ops         int           `json:"b14_ops"`
-	B14Checkpoints int           `json:"b14_checkpoints"`
-	B14MaxBytes    int           `json:"b14_max_checkpoint_bytes"`
-	B14Bound       int           `json:"b14_checkpoint_bytes_bound"`
-	B14Ns          int64         `json:"b14_ns"`
-	Gates          []gateEntry   `json:"gates"`
-	Pass           bool          `json:"pass"`
-}
-
-// b10PrePRNs records the pre-PR (string-memo, copy-per-step) checker's ns/op
-// on the B10 workloads, measured on the reference host (the one named in
-// EXPERIMENTS.md) before the interning refactor landed. The speedup column
-// they feed is only emitted under -baseline — comparing another machine's
-// ns/op against this host's baseline would be a meaningless ratio, so CI
-// artifacts omit it; the committed benchmarks/results/BENCH_PR3.json, generated on the
-// reference host, carries it.
-var b10PrePRNs = map[string]int64{
-	"queue/64": 57180, "queue/256": 94206, "stack/64": 60376, "stack/256": 95658,
+	Host  hostInfo    `json:"host"`
+	Gates []gateEntry `json:"gates"`
+	Pass  bool        `json:"pass"`
 }
 
 func main() {
@@ -212,7 +158,6 @@ func run() int {
 	minScale := flag.Float64("minscale", 1.5, "minimum 4-worker-vs-1 speedup for the B11 parallel gate (auto-skip below 4 CPUs)")
 	b13MinRatio := flag.Float64("b13minratio", 50, "minimum explored-steps ratio (Wing–Gong explored / tier peel steps) for the B13 fast-tier gate")
 	b14Ops := flag.Int("b14ops", 20000, "operations for the B14 durable-checkpoint gate")
-	baseline := flag.Bool("baseline", false, "emit B10 speedup vs the recorded pre-PR baseline (reference host only)")
 	out := flag.String("out", "BENCH_perf_smoke.json", "JSON output path (empty = none)")
 	resultsDir := flag.String("results", "", "also write the JSON as <dir>/<UTC timestamp>.json and regenerate <dir>/index.md (the benchmarks/results/ convention, docs/benchmarks.md)")
 	flag.Parse()
@@ -220,7 +165,7 @@ func run() int {
 	procs := 4
 	m := spec.Counter()
 	obj := genlin.Linearizability(m)
-	res := result{Ops: *ops, SoakOps: *soakOps, MinRatio: *minRatio, Host: hostInfo{
+	res := result{Host: hostInfo{
 		GOOS:       runtime.GOOS,
 		GOARCH:     runtime.GOARCH,
 		CPUs:       runtime.NumCPU(),
@@ -246,7 +191,7 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "full recheck of a correct stream: %v\n", err)
 		return exitSetup
 	}
-	res.FullNs = time.Since(start).Nanoseconds()
+	fullNs := time.Since(start).Nanoseconds()
 
 	start = time.Now()
 	iv := core.NewIncVerifier(procs, obj)
@@ -257,29 +202,26 @@ func run() int {
 			return exitSetup
 		}
 	}
-	res.IncNs = time.Since(start).Nanoseconds()
-	if res.IncNs > 0 {
-		res.Ratio = float64(res.FullNs) / float64(res.IncNs)
+	incNs := time.Since(start).Nanoseconds()
+	ratio := 0.0
+	if incNs > 0 {
+		ratio = float64(fullNs) / float64(incNs)
 	}
 	fmt.Printf("B8 gate: ops=%d full=%v incremental=%v ratio=%.0fx (min %.0fx)\n",
-		*ops, time.Duration(res.FullNs), time.Duration(res.IncNs), res.Ratio, *minRatio)
-	if res.Ratio < *minRatio {
-		fmt.Fprintf(os.Stderr, "FAIL: B8 speedup ratio %.1fx below the %.0fx gate\n", res.Ratio, *minRatio)
-		gate("b8", "fail", res.Ratio, *minRatio, exitB8)
+		*ops, time.Duration(fullNs), time.Duration(incNs), ratio, *minRatio)
+	if ratio < *minRatio {
+		fmt.Fprintf(os.Stderr, "FAIL: B8 speedup ratio %.1fx below the %.0fx gate\n", ratio, *minRatio)
+		gate("b8", "fail", ratio, *minRatio, exitB8)
 	} else {
-		gate("b8", "pass", res.Ratio, *minRatio, exitB8)
+		gate("b8", "pass", ratio, *minRatio, exitB8)
 	}
 
 	// --- B9 soak gate ------------------------------------------------------
 	// Same body as TestSoakRetentionB9, at reduced scale (internal/soak).
 	start = time.Now()
 	sr := soak.Run(m, procs, *soakOps, check.RetentionPolicy{GCBatch: 64})
-	res.SoakNs = time.Since(start).Nanoseconds()
-	res.SoakRetainedHW = sr.MaxRetained
-	res.SoakBound = sr.Bound
-	res.SoakDiscarded = sr.Discarded
 	fmt.Printf("B9 gate: soak ops=%d retained-events-max=%d (bound %d) discarded=%d in %v\n",
-		*soakOps, sr.MaxRetained, sr.Bound, sr.Discarded, time.Duration(res.SoakNs))
+		*soakOps, sr.MaxRetained, sr.Bound, sr.Discarded, time.Since(start))
 	switch {
 	case sr.DivergedAt >= 0:
 		fmt.Fprintf(os.Stderr, "FAIL: B9 verdicts diverged from the unbounded oracle at op %d\n", sr.DivergedAt)
@@ -317,30 +259,16 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "FAIL: B10 %s produced no measurement (N=%d)\n", w.Name, br.N)
 			return exitSetup
 		}
-		bw := b10Workload{
-			Name:     w.Name,
-			Model:    w.Model.Name(),
-			Ops:      w.Ops,
-			NsPerOp:  br.NsPerOp(),
-			AllocsOp: br.AllocsPerOp(),
-			BytesOp:  br.AllocedBytesPerOp(),
-		}
 		// One row per leg. The dense legs bound allocs/op under the names
 		// they have had since BENCH_PR5; the backtracking leg bounds B/op
 		// (soak.B10Workload.MaxBytes says why).
-		row := fmt.Sprintf("%s/%d", bw.Model, bw.Ops)
-		value, bound, unit := bw.AllocsOp, *maxAllocs, "allocs/op"
+		row := fmt.Sprintf("%s/%d", w.Model.Name(), w.Ops)
+		value, bound, unit := br.AllocsPerOp(), *maxAllocs, "allocs/op"
 		if w.MaxBytes > 0 {
-			row, value, bound, unit = w.Name, bw.BytesOp, w.MaxBytes, "B/op"
-		} else {
-			bw.MaxAllocs = *maxAllocs
+			row, value, bound, unit = w.Name, br.AllocedBytesPerOp(), w.MaxBytes, "B/op"
 		}
-		if pre := b10PrePRNs[row]; *baseline && pre > 0 && bw.NsPerOp > 0 {
-			bw.SpeedupX = float64(pre) / float64(bw.NsPerOp)
-		}
-		res.B10 = append(res.B10, bw)
 		fmt.Printf("B10 gate: %s %d ns/op %d allocs/op %d B/op (max %d %s)\n",
-			w.Name, bw.NsPerOp, bw.AllocsOp, bw.BytesOp, bound, unit)
+			w.Name, br.NsPerOp(), br.AllocsPerOp(), br.AllocedBytesPerOp(), bound, unit)
 		status := "pass"
 		if value > bound {
 			fmt.Fprintf(os.Stderr, "FAIL: B10 %s allocates %d %s, above the %d gate — the search core regressed\n",
@@ -356,7 +284,6 @@ func run() int {
 	// neighbour cannot fail the gate. Below 4 CPUs the ratio measures the OS
 	// scheduler rather than the worker pool, so the gate skips itself — the
 	// equivalence and race suites still cover correctness there.
-	res.B11MinScale = *minScale
 	if runtime.NumCPU() < 4 {
 		gate("b11", "skip", 0, *minScale, exitB11)
 		fmt.Printf("B11 gate: skipped (%d CPUs < 4; scaling is only meaningful with free cores)\n", runtime.NumCPU())
@@ -382,18 +309,18 @@ func run() int {
 			fmt.Fprintln(os.Stderr, "FAIL: B11 shard check refuted a linearizable history")
 			return exitSetup
 		}
-		res.B11Workers1Ns, res.B11Workers4Ns = t1, t4
+		scale := 0.0
 		if t4 > 0 {
-			res.B11Scale = float64(t1) / float64(t4)
+			scale = float64(t1) / float64(t4)
 		}
 		fmt.Printf("B11 gate: %s shards=%d workers1=%v workers4=%v scale=%.2fx (min %.2fx)\n",
-			s.Model.Name(), len(s.Seeds), time.Duration(t1), time.Duration(t4), res.B11Scale, *minScale)
-		if res.B11Scale < *minScale {
+			s.Model.Name(), len(s.Seeds), time.Duration(t1), time.Duration(t4), scale, *minScale)
+		if scale < *minScale {
 			fmt.Fprintf(os.Stderr, "FAIL: B11 parallel speedup %.2fx below the %.2fx gate — the worker pool stopped scaling\n",
-				res.B11Scale, *minScale)
-			gate("b11", "fail", res.B11Scale, *minScale, exitB11)
+				scale, *minScale)
+			gate("b11", "fail", scale, *minScale, exitB11)
 		} else {
-			gate("b11", "pass", res.B11Scale, *minScale, exitB11)
+			gate("b11", "pass", scale, *minScale, exitB11)
 		}
 	}
 
@@ -407,15 +334,9 @@ func run() int {
 	// lying.
 	b12Policy := check.RetentionPolicy{GCBatch: 64}
 	start = time.Now()
-	br12 := soak.RunNeverQuiescent(spec.Queue(), *b12Ops, 1, b12Policy, true)
-	res.B12Ns = time.Since(start).Nanoseconds()
-	res.B12Ops = *b12Ops
-	res.B12RetainedHW = br12.MaxRetained
-	res.B12Bound = br12.Bound
-	res.B12CommitCuts = br12.CommitCuts
-	res.B12CarriedOps = br12.CarriedOps
+	br12 := soak.RunNeverQuiescent(spec.Queue(), *b12Ops, b12Policy, true)
 	fmt.Printf("B12 gate: never-quiescent ops=%d retained-events-max=%d (bound %d) commit-cuts=%d carried=%d in %v\n",
-		*b12Ops, br12.MaxRetained, br12.Bound, br12.CommitCuts, br12.CarriedOps, time.Duration(res.B12Ns))
+		*b12Ops, br12.MaxRetained, br12.Bound, br12.CommitCuts, br12.CarriedOps, time.Since(start))
 	switch {
 	case br12.DivergedAt >= 0:
 		fmt.Fprintf(os.Stderr, "FAIL: B12 verdicts diverged from the unbounded oracle at burst %d\n", br12.DivergedAt)
@@ -433,8 +354,7 @@ func run() int {
 	default:
 		gate("b12", "pass", float64(br12.MaxRetained), float64(br12.Bound), exitB12)
 	}
-	ctl := soak.RunNeverQuiescent(spec.Queue(), *b12Ops/4, 1, b12Policy, false)
-	res.B12ControlHW = ctl.MaxRetained
+	ctl := soak.RunNeverQuiescent(spec.Queue(), *b12Ops/4, b12Policy, false)
 	fmt.Printf("B12 control: quiescent-only retained-events-max=%d of %d events\n", ctl.MaxRetained, ctl.Events)
 	if ctl.MaxRetained < ctl.Events {
 		fmt.Fprintln(os.Stderr, "FAIL: B12 control collected on a never-quiescent stream — the workload stopped demonstrating the degradation")
@@ -449,24 +369,22 @@ func run() int {
 	// deterministic counters — explored configurations and peel steps — so
 	// the gate is exact on every host.
 	b13 := soak.RunFastTier()
-	res.B13Explored = b13.Explored
-	res.B13Steps = b13.Steps
-	res.B13MinRatio = *b13MinRatio
+	b13Ratio := 0.0
 	if b13.Steps > 0 {
-		res.B13Ratio = float64(b13.Explored) / float64(b13.Steps)
+		b13Ratio = float64(b13.Explored) / float64(b13.Steps)
 	}
 	fmt.Printf("B13 gate: wg-explored=%d tier-steps=%d ratio=%.1fx (min %.0fx) agree=%v\n",
-		b13.Explored, b13.Steps, res.B13Ratio, *b13MinRatio, b13.Agree)
+		b13.Explored, b13.Steps, b13Ratio, *b13MinRatio, b13.Agree)
 	switch {
 	case !b13.Agree:
 		fmt.Fprintln(os.Stderr, "FAIL: B13 fast tier fell back or disagreed with the exact search on the committed seed")
-		gate("b13", "fail", res.B13Ratio, *b13MinRatio, exitB13)
-	case res.B13Ratio < *b13MinRatio:
+		gate("b13", "fail", b13Ratio, *b13MinRatio, exitB13)
+	case b13Ratio < *b13MinRatio:
 		fmt.Fprintf(os.Stderr, "FAIL: B13 explored-steps ratio %.1fx below the %.0fx gate — the tier stopped sparing the search\n",
-			res.B13Ratio, *b13MinRatio)
-		gate("b13", "fail", res.B13Ratio, *b13MinRatio, exitB13)
+			b13Ratio, *b13MinRatio)
+		gate("b13", "fail", b13Ratio, *b13MinRatio, exitB13)
 	default:
-		gate("b13", "pass", res.B13Ratio, *b13MinRatio, exitB13)
+		gate("b13", "pass", b13Ratio, *b13MinRatio, exitB13)
 	}
 
 	// --- B14 durable-checkpoint gate -----------------------------------------
@@ -476,14 +394,9 @@ func run() int {
 	// mid-soak checkpoint must stay verdict-identical to the uninterrupted
 	// primary for the rest of the stream.
 	start = time.Now()
-	b14 := soak.RunCheckpointSoak(spec.Queue(), *b14Ops, 1, check.RetentionPolicy{GCBatch: 64}, true)
-	res.B14Ns = time.Since(start).Nanoseconds()
-	res.B14Ops = *b14Ops
-	res.B14Checkpoints = b14.Checkpoints
-	res.B14MaxBytes = b14.MaxBytes
-	res.B14Bound = b14.Bound
+	b14 := soak.RunCheckpointSoak(spec.Queue(), *b14Ops, check.RetentionPolicy{GCBatch: 64}, true)
 	fmt.Printf("B14 gate: checkpoint soak ops=%d checkpoints=%d max-bytes=%d (bound %d) restored-at-burst=%d in %v\n",
-		*b14Ops, b14.Checkpoints, b14.MaxBytes, b14.Bound, b14.RestoredAt, time.Duration(res.B14Ns))
+		*b14Ops, b14.Checkpoints, b14.MaxBytes, b14.Bound, b14.RestoredAt, time.Since(start))
 	switch {
 	case b14.Err != "":
 		fmt.Fprintf(os.Stderr, "FAIL: B14 checkpoint/restore failed mid-soak: %s\n", b14.Err)

@@ -29,17 +29,11 @@ func writeResults(dir string, buf []byte) (string, error) {
 	return path, nil
 }
 
-// indexRecord is the slice of a gates JSON the index needs; every other
-// field is ignored, so records from any perfgate vintage index cleanly.
-type indexRecord struct {
-	Host  hostInfo    `json:"host"`
-	Gates []gateEntry `json:"gates"`
-	Pass  bool        `json:"pass"`
-}
-
 // regenIndex rewrites <dir>/index.md from the *.json records in dir, newest
 // last (timestamped names sort chronologically; the legacy BENCH_PR*.json
-// records sort before them, which is also their true order).
+// records sort before them, which is also their true order). Records read
+// as a result: the flat keys of older perfgate versions are ignored, so
+// every vintage indexes cleanly.
 func regenIndex(dir string) error {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -64,7 +58,7 @@ func regenIndex(dir string) error {
 		if err != nil {
 			return err
 		}
-		var rec indexRecord
+		var rec result
 		if err := json.Unmarshal(raw, &rec); err != nil {
 			return fmt.Errorf("%s: %w", f, err)
 		}

@@ -14,8 +14,9 @@
 // With -net the soak runs against a linmond monitoring service instead of an
 // in-process pipeline: each seed streams a generated history to the server
 // (one session per seed, monitor configuration carried in the open frame)
-// and cross-checks the streamed verdict against an in-process monitor run on
-// the same batches. -fault in net mode perturbs the recorded history
+// and cross-checks it against an in-process monitor run on the same batches:
+// the verdicts must agree and the server must have applied every event
+// exactly once. -fault in net mode perturbs the recorded history
 // (trace.Mutate) rather than wrapping an implementation:
 //
 //	linmond -listen 127.0.0.1:7474 &
@@ -56,6 +57,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/genlin"
 	"repro/internal/impls"
+	"repro/internal/soak"
 	"repro/internal/spec"
 	"repro/internal/trace"
 )
@@ -145,17 +147,12 @@ func run() int {
 				replayAddr = *addr
 			}
 		})
-		if !validReplayModel(replayModel) {
-			fmt.Fprintf(os.Stderr, "unknown model %q\n", replayModel)
-			return 2
-		}
 		if err := monitor.Validate(); err != nil {
 			fmt.Fprintf(os.Stderr, "monitor config: %v\n", err)
 			return 2
 		}
-		return runReplay(replayCfg{
-			path: *replay, addr: replayAddr, speed: *speed,
-			batch: *netbatch, model: replayModel, monitor: monitor,
+		return runReplay(*replay, replayModel, soak.StreamConfig{
+			Addr: replayAddr, Speed: *speed, Batch: *netbatch, Monitor: monitor,
 		})
 	}
 	if *speed != 0 {
@@ -200,16 +197,14 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "monitor config: %v\n", err)
 			return 2
 		}
-		if *crashEvery != 0 {
-			return runCrash(m, crashCfg{
-				every: *crashEvery, batch: *netbatch, fault: *fault,
-				procs: *procs, ops: *ops, seeds: *seeds, monitor: monitor,
-			})
-		}
-		return runNet(m, netCfg{
-			addr: *addr, batch: *netbatch, fault: *fault,
+		cfg := wireCfg{
+			addr: *addr, every: *crashEvery, batch: *netbatch, fault: *fault,
 			procs: *procs, ops: *ops, seeds: *seeds, monitor: monitor,
-		})
+		}
+		if *crashEvery != 0 {
+			cfg.addr = ""
+		}
+		return runWire(m, cfg)
 	}
 
 	var mode impls.FaultMode

@@ -3,11 +3,14 @@ package main
 import (
 	"context"
 	"errors"
+	"net"
 	"os"
 	"os/exec"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/monitorserver"
 )
 
 // TestMain lets the test binary stand in for the command: re-executed with
@@ -44,10 +47,17 @@ func runStress(t *testing.T, timeout time.Duration, args ...string) (int, string
 	}
 }
 
-// TestModes runs one small soak per mode — decoupled, crash-restart against
-// the in-process durable server, and a corpus replay — each of which must
-// finish clean (exit 0) and print its mode's verdict line.
+// TestModes runs one small soak per mode — decoupled, net against a server
+// this test process serves, crash-restart against the in-process durable
+// server, and a corpus replay — each of which must finish clean (exit 0)
+// and print its mode's verdict line.
 func TestModes(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := monitorserver.Serve(ln, monitorserver.Options{Logf: t.Logf})
+	defer srv.Close()
 	for _, tc := range []struct {
 		name string
 		args []string
@@ -55,6 +65,8 @@ func TestModes(t *testing.T) {
 	}{
 		{"decoupled", []string{"-model", "queue", "-decoupled", "-ops", "40", "-seeds", "1"},
 			"runs with ERROR report: 0/1"},
+		{"net", []string{"-net", "-addr", srv.Addr().String(), "-model", "queue", "-ops", "40", "-seeds", "2", "-retain"},
+			"sessions: 2 ok"},
 		// 16-event batches so the 280-event stream spans four restarts.
 		{"crash", []string{"-crash-every", "4", "-model", "queue", "-ops", "60", "-seeds", "1", "-retain", "-netbatch", "16"},
 			"across 4 forced restarts"},

@@ -61,7 +61,6 @@ type Decoupled struct {
 	resReleased atomic.Int64
 	statsMu     sync.Mutex
 	stats       DecoupledStats
-	verifier    *IncVerifier // dispatcher's pipeline, for CheckpointMonitor (guarded by statsMu)
 }
 
 // Shard indices of a result list's epoch tracker.
@@ -258,9 +257,6 @@ func (d *Decoupled) releaseBatch() int {
 func (d *Decoupled) dispatch(scanners int) {
 	defer d.wg.Done()
 	iv := NewIncVerifier(d.n, d.obj, WithVerifierConfig(d.monitor))
-	d.statsMu.Lock()
-	d.verifier = iv
-	d.statsMu.Unlock()
 	reported := false
 	released := make([]int, d.n)
 

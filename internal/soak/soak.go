@@ -5,8 +5,10 @@
 // concurrency, seed) and the B11 parallel shard-verification workload
 // (shard count, histories, worker widths). Sharing one definition keeps the
 // benchmarks and their gates from drifting onto different workloads. The B8
-// baseline (the paper-literal Figure 12 loop body), the B12 never-quiescent commit-cut soak, the B13 fast-tier workload and the
-// B14 durable-checkpoint soak live here for the same reason.
+// baseline (the paper-literal Figure 12 loop body), the B12 never-quiescent
+// commit-cut soak, the B13 fast-tier workload and the B14 durable-checkpoint
+// soak live here for the same reason. So does the one wire-soak driver,
+// Stream (stream.go), behind every cmd/stress mode that talks to linmond.
 package soak
 
 import (
@@ -139,16 +141,11 @@ const B12Burst = 64
 // at every burst. With commitCuts the bounded monitor runs commit-point-
 // order cuts and its window must stay flat; without (the degradation
 // control) quiescent-cut retention never finds a cut and the window grows
-// with the stream — the ROADMAP hole B12 exists to close. workers > 1 runs
-// the bounded monitor's parallel engine.
-func RunNeverQuiescent(m spec.Model, ops, workers int, policy check.RetentionPolicy, commitCuts bool) Result {
+// with the stream — the ROADMAP hole B12 exists to close.
+func RunNeverQuiescent(m spec.Model, ops int, policy check.RetentionPolicy, commitCuts bool) Result {
 	policy.CommitCuts = commitCuts
 	h := trace.NeverQuiescent(m, 29, 5, ops)
-	cfg := check.Config{Retain: true, Retention: policy}
-	if workers > 1 {
-		cfg.Parallelism = workers
-	}
-	retained := check.NewIncremental(m, check.WithConfig(cfg))
+	retained := check.NewIncremental(m, check.WithConfig(check.Config{Retain: true, Retention: policy}))
 	oracle := check.NewIncremental(m)
 	res := Result{Events: len(h), Bound: WindowBound(policy), DivergedAt: -1}
 	for k := 0; len(h) > 0; k++ {
@@ -218,14 +215,10 @@ func (r B14Result) Ok() bool {
 // remaining bursts as the primary, comparing verdicts at every burst — the
 // crash-restart contract with the crash at an arbitrary point and the
 // recovery judged against the uninterrupted run.
-func RunCheckpointSoak(m spec.Model, ops, workers int, policy check.RetentionPolicy, commitCuts bool) B14Result {
+func RunCheckpointSoak(m spec.Model, ops int, policy check.RetentionPolicy, commitCuts bool) B14Result {
 	policy.CommitCuts = commitCuts
 	h := trace.NeverQuiescent(m, 29, 5, ops)
-	cfg := check.Config{Retain: true, Retention: policy}
-	if workers > 1 {
-		cfg.Parallelism = workers
-	}
-	primary := check.NewIncremental(m, check.WithConfig(cfg))
+	primary := check.NewIncremental(m, check.WithConfig(check.Config{Retain: true, Retention: policy}))
 	res := B14Result{Events: len(h), Bound: B14ByteBound(policy), RestoredAt: -1, DivergedAt: -1}
 	fail := func(k int, err error) {
 		if res.Err == "" {
