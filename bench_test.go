@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/check"
+	"repro/internal/check/loglin"
 	"repro/internal/conslist"
 	"repro/internal/core"
 	"repro/internal/genlin"
@@ -598,7 +599,7 @@ func TestSoakNeverQuiescentB12(t *testing.T) {
 // BenchmarkFastTier is the B13 family, on the shared internal/soak B13
 // workload (the pathological queue seed the B11 shard lists omit):
 //
-//   - tier/*: the log-linear decision tier alone (check.FastTier);
+//   - tier/*: the log-linear decision tier alone (loglin.Decide);
 //   - wg/*: the complete search on the same history;
 //   - incremental-retained/*: the retained monitor ingesting the history in
 //     one append, answering from the tier (fasttier_tail_test.go asserts the
@@ -611,9 +612,8 @@ func BenchmarkFastTier(b *testing.B) {
 	h := soak.B13History()
 	b.Run("tier/queue/seed2", func(b *testing.B) {
 		b.ReportAllocs()
-		ft := check.FastTier(m)
 		for i := 0; i < b.N; i++ {
-			if ft.Check(h) != check.Yes {
+			if loglin.Decide(m, h).V != loglin.Yes {
 				b.Fatal("tier failed to accept the B13 seed")
 			}
 		}

@@ -20,10 +20,10 @@ import (
 // the retained window (an exact event codec — history's wire form collapses
 // Op.Uniq into ID, which is too lossy for resume), the GC base position and
 // its exact state set, the committed cut and pending quiescent boundaries,
-// the frontier state set with per-state refutation flags, recent cut marks,
-// the commit-cut planner's full residency/pinning state, the per-kind discard
-// counters, the verdict/error, the cumulative IncStats, and the Config that
-// produced it all.
+// the frontier state set with per-state refutation flags, the commit-cut
+// planner's full residency/pinning state, the per-kind discard counters, the
+// verdict/error, the cumulative IncStats, and the Config that produced it
+// all.
 //
 // What an image deliberately does NOT carry:
 //
@@ -39,6 +39,11 @@ import (
 //     them, and a disagreement inside the image cannot exist by construction.
 //     Park drops them for the same reason.
 //   - worker-slot diagnostics (WorkerStat): scheduling-dependent by contract.
+//
+// Older images may carry fields this build no longer reads, such as "marks"
+// (past cuts with their state sets). Decoding ignores them as unknown
+// fields, which loses nothing: the collector only ever cuts at the committed
+// frontier, from that cut's own state set, so a past cut is never consulted.
 //
 // Restore validates everything it cannot re-derive — unknown model, config
 // mismatch with planner presence, out-of-range positions, undecodable states,
@@ -71,13 +76,6 @@ type EventImage struct {
 type ResidentEntry struct {
 	V int64 `json:"v"`
 	N int   `json:"n"`
-}
-
-// MarkImage is one recorded GC-eligible cut: its window index and the exact
-// state set committed there.
-type MarkImage struct {
-	Idx    int      `json:"idx"`
-	States []string `json:"states"`
 }
 
 // PlannedOpImage is the planner's view of one open operation (commitcut.go's
@@ -122,7 +120,7 @@ type PlannerImage struct {
 }
 
 // MonitorImage is the complete serialisable resume state of an Incremental
-// monitor. Frontier/base/mark states use the canonical per-model encoding of
+// monitor. Frontier and base states use the canonical per-model encoding of
 // spec.EncodeState, so images are readable and stable across processes.
 type MonitorImage struct {
 	Version int    `json:"version"`
@@ -138,7 +136,6 @@ type MonitorImage struct {
 	Frontier []string `json:"frontier"`
 	Dead     []bool   `json:"dead,omitempty"`
 
-	Marks        []MarkImage     `json:"marks,omitempty"`
 	Planner      *PlannerImage   `json:"planner,omitempty"`
 	BaseResident []ResidentEntry `json:"base_resident,omitempty"`
 
@@ -182,9 +179,6 @@ func (inc *Incremental) Checkpoint() (*MonitorImage, error) {
 	}
 	if inc.dead != nil {
 		img.Dead = append([]bool(nil), inc.dead...)
-	}
-	for _, m := range inc.marks {
-		img.Marks = append(img.Marks, MarkImage{Idx: m.idx, States: encodeStates(m.states)})
 	}
 	if inc.planner != nil {
 		img.Planner = encodePlanner(inc.planner)
@@ -259,16 +253,6 @@ func RestoreIncremental(img *MonitorImage) (*Incremental, error) {
 			return nil, err
 		}
 		inc.base = base
-	}
-	for _, mk := range img.Marks {
-		if mk.Idx < 0 || mk.Idx > len(h) {
-			return nil, fmt.Errorf("check: monitor image: mark %d outside window of %d events", mk.Idx, len(h))
-		}
-		states, err := decodeStates(m, mk.States)
-		if err != nil {
-			return nil, err
-		}
-		inc.marks = append(inc.marks, cutMark{idx: mk.Idx, states: states})
 	}
 
 	if (inc.planner != nil) != (img.Planner != nil) {
@@ -519,9 +503,11 @@ func restorePlanner(pl *cutPlanner, img *PlannerImage) error {
 //   - pendingOp and seenIDs, which the next non-empty Append re-derives from
 //     the window (ensureOpenOps);
 //   - the spare capacity of the window and the quiescent-boundary queue;
-//   - the state chains of the search that produced the frontier: every kept
-//     state (frontier, GC base, cut marks) is replaced by a spec.Detach copy,
-//     so the chain's arena chunks and successor caches become garbage.
+//   - the state chains the segment searches grew from the frontier states,
+//     which are replaced by spec.Detach copies, so the chains' arena chunks
+//     and successor caches become garbage. The GC base is never a search
+//     root (window reloads start from detached copies of it), so it has no
+//     chain to drop.
 //
 // The monitoring service parks an object's monitor when its session says
 // bye. The object is not ended — a reopen appends to it as before.
@@ -531,29 +517,7 @@ func (inc *Incremental) Park() {
 	inc.pendingOp, inc.seenIDs = nil, nil
 	inc.h = slices.Clone(inc.h)
 	inc.cuts = slices.Clone(inc.cuts)
-
-	// Kept state sets may alias one another (the GC base is a mark's), so
-	// each distinct slice is detached once and the aliasing survives.
-	detached := make(map[*spec.State][]spec.State)
-	detach := func(states []spec.State) []spec.State {
-		if len(states) == 0 {
-			return states
-		}
-		if d, ok := detached[&states[0]]; ok && len(d) == len(states) {
-			return d
-		}
-		d := make([]spec.State, len(states))
-		for i, st := range states {
-			d[i] = spec.Detach(st)
-		}
-		detached[&states[0]] = d
-		return d
-	}
-	inc.frontier = detach(inc.frontier)
-	inc.base = detach(inc.base)
-	for i := range inc.marks {
-		inc.marks[i].states = detach(inc.marks[i].states)
-	}
+	inc.frontier = detachStates(inc.frontier)
 }
 
 // ensureOpenOps rebuilds pendingOp and seenIDs after Park. The window of a

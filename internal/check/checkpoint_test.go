@@ -206,6 +206,80 @@ func TestCheckpointRefutedMonitor(t *testing.T) {
 	}
 }
 
+// withRetiredFields re-adds to inc's serialised image what images carried
+// before the collector came to always cut at the frontier: a "marks" entry at
+// the committed cut holding the frontier's encodings, and a
+// config.retention.keep_events knob. It returns the image decoded back.
+func withRetiredFields(t *testing.T, inc *Incremental) *MonitorImage {
+	t.Helper()
+	img, err := inc.Checkpoint()
+	if err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	raw, err := json.Marshal(img)
+	if err != nil {
+		t.Fatalf("marshal image: %v", err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatalf("unmarshal image as a map: %v", err)
+	}
+	doc["marks"] = []any{map[string]any{"idx": img.CutIdx, "states": img.Frontier}}
+	doc["config"].(map[string]any)["retention"].(map[string]any)["keep_events"] = 16
+	if raw, err = json.Marshal(doc); err != nil {
+		t.Fatalf("marshal edited image: %v", err)
+	}
+	var dec MonitorImage
+	if err := json.Unmarshal(raw, &dec); err != nil {
+		t.Fatalf("decode edited image: %v", err)
+	}
+	return &dec
+}
+
+// TestRestoreImageWithRetiredFields: an image carrying the retired cut marks
+// and keep_events knob decodes with both ignored, restores, and the restored
+// monitor stays verdict- and outcome-stat-identical to the uninterrupted one
+// on every further append.
+func TestRestoreImageWithRetiredFields(t *testing.T) {
+	m := spec.Queue()
+	cfg := Config{Retain: true, Retention: RetentionPolicy{GCBatch: 8, CommitCuts: true}}
+	collected := false
+	for seed := int64(1); seed <= 4; seed++ {
+		for _, h := range []history.History{
+			trace.NeverQuiescent(m, seed, 3, 60),
+			trace.Mutate(trace.RandomLinearizable(m, seed, 3, 36), seed*31),
+		} {
+			deltas := chunks(h, rand.New(rand.NewSource(seed)))
+			mid := len(deltas) / 2
+			ref := NewIncremental(m, WithConfig(cfg))
+			for _, d := range deltas[:mid] {
+				ref.Append(d)
+			}
+			img := withRetiredFields(t, ref)
+			if img.Config != cfg {
+				t.Fatalf("seed %d: decoded config %+v, want %+v", seed, img.Config, cfg)
+			}
+			collected = collected || (img.HBase > 0 && img.CutIdx > 0)
+			cur, err := RestoreIncremental(img)
+			if err != nil {
+				t.Fatalf("seed %d: RestoreIncremental: %v", seed, err)
+			}
+			for i, d := range deltas[mid:] {
+				if got, want := cur.Append(d), ref.Append(d); got != want {
+					t.Fatalf("seed %d: delta %d after restore: verdict %v, reference %v", seed, mid+i, got, want)
+				}
+			}
+			refuted := ref.Verdict() == No
+			if got, want := outcomeStats(cur.Stats(), true, refuted), outcomeStats(ref.Stats(), true, refuted); got != want {
+				t.Fatalf("seed %d: outcome stats diverge\ngot:  %+v\nwant: %+v", seed, got, want)
+			}
+		}
+	}
+	if !collected {
+		t.Fatal("no image was taken past a GC with a committed cut; the marks were never meaningful")
+	}
+}
+
 // TestRestoreRejectsCorruptImages: structurally impossible images fail with
 // an error — never a silently wrong monitor.
 func TestRestoreRejectsCorruptImages(t *testing.T) {
@@ -232,7 +306,6 @@ func TestRestoreRejectsCorruptImages(t *testing.T) {
 		{"cut idx", func(i *MonitorImage) { i.CutIdx = len(i.Window) + 1 }},
 		{"negative base", func(i *MonitorImage) { i.HBase = -1 }},
 		{"boundary range", func(i *MonitorImage) { i.Cuts = []int{len(i.Window) + 5} }},
-		{"mark range", func(i *MonitorImage) { i.Marks = []MarkImage{{Idx: -2, States: []string{"q:"}}} }},
 		{"event kind", func(i *MonitorImage) { i.Window[0].Kind = 7 }},
 		{"verdict", func(i *MonitorImage) { i.Verdict = 0 }},
 		{"planner dropped", func(i *MonitorImage) { i.Planner = nil }},

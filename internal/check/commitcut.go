@@ -372,8 +372,8 @@ func (inc *Incremental) advanceCommitCuts() {
 // the head of the remaining segment, where the next segment check treats
 // them as ordinary pending calls. The retained window keeps its length (the
 // splice moves the carried invocations, it discards nothing); the regular
-// collector then reclaims the committed region under the usual
-// KeepEvents/GCBatch policy via the recorded mark.
+// collector then reclaims the committed region once it holds GCBatch
+// events.
 func (inc *Incremental) commitCutAt(c commitCut) {
 	q := c.pos
 	carriedIDs := make(map[uint64]struct{}, len(c.carried))

@@ -264,7 +264,7 @@ func FuzzRetentionInterleave(f *testing.F) {
 	f.Add(uint8(0), int64(1), uint8(4), uint8(0), uint8(1))
 	f.Add(uint8(3), int64(6), uint8(16), uint8(3), uint8(0))
 	f.Add(uint8(7), int64(9), uint8(1), uint8(8), uint8(1))
-	f.Fuzz(func(t *testing.T, which uint8, seed int64, gcb, keep, commit uint8) {
+	f.Fuzz(func(t *testing.T, which uint8, seed int64, gcb, _, commit uint8) {
 		models := fuzzModels()
 		m := models[int(which)%len(models)]
 		rng := rand.New(rand.NewSource(seed*1009 + int64(which)))
@@ -274,7 +274,6 @@ func FuzzRetentionInterleave(f *testing.F) {
 		}
 		pol := RetentionPolicy{
 			GCBatch:    1 + int(gcb)%32,
-			KeepEvents: int(keep) % 16,
 			CommitCuts: commit%2 == 1,
 		}
 		inc := NewIncremental(m, WithConfig(Config{Retain: true, Retention: pol}))
@@ -283,7 +282,7 @@ func FuzzRetentionInterleave(f *testing.F) {
 			prefix += len(delta)
 			var got Verdict
 			if rng.Intn(8) == 0 {
-				got = inc.Reset(append(history.History(nil), h[:prefix]...))
+				got = inc.reset(append(history.History(nil), h[:prefix]...))
 			} else {
 				got = inc.Append(delta)
 			}
@@ -442,7 +441,7 @@ func TestCommitCutObservedWhilePending(t *testing.T) {
 	}
 }
 
-// TestResetRewindsDiscardCounters: Reset rewinds the per-kind discard
+// TestResetRewindsDiscardCounters: reset rewinds the per-kind discard
 // counters with the horizon, keeping the documented alignment contract
 // (Discarded()==0 implies zero response/invocation discards).
 func TestResetRewindsDiscardCounters(t *testing.T) {
@@ -451,9 +450,9 @@ func TestResetRewindsDiscardCounters(t *testing.T) {
 	if inc.DiscardedResponses() == 0 {
 		t.Fatal("precondition: GC never dropped a response")
 	}
-	inc.Reset(nil)
+	inc.reset(nil)
 	if inc.Discarded() != 0 || inc.DiscardedResponses() != 0 || len(inc.DiscardedInvocations()) != 0 {
-		t.Fatalf("discard counters survived Reset: hBase=%d resp=%d inv=%v",
+		t.Fatalf("discard counters survived reset: hBase=%d resp=%d inv=%v",
 			inc.Discarded(), inc.DiscardedResponses(), inc.DiscardedInvocations())
 	}
 }

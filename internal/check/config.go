@@ -61,9 +61,6 @@ func (c Config) Validate() error {
 		}
 		return nil
 	}
-	if p.KeepEvents < 0 {
-		return fmt.Errorf("retention.keep_events %d is negative", p.KeepEvents)
-	}
 	if p.GCBatch < 0 {
 		return fmt.Errorf("retention.gc_batch %d is negative", p.GCBatch)
 	}

@@ -29,7 +29,7 @@ func configCases() []struct {
 		{"parallel-4-retained", check.Config{Parallelism: 4, Retain: true, Retention: check.RetentionPolicy{GCBatch: 2}}},
 		{"kitchen-sink", check.Config{
 			Retain:      true,
-			Retention:   check.RetentionPolicy{KeepEvents: 64, GCBatch: 2, CommitCuts: true},
+			Retention:   check.RetentionPolicy{GCBatch: 2, CommitCuts: true},
 			Parallelism: 3,
 		}},
 	}
@@ -117,12 +117,11 @@ func TestConfigValidate(t *testing.T) {
 	}{
 		{"zero", check.Config{}, ""},
 		{"full", check.Config{Retain: true,
-			Retention:   check.RetentionPolicy{KeepEvents: 10, GCBatch: 5, StateBudget: 100, MaxFrontierStates: 8, CommitCuts: true},
+			Retention:   check.RetentionPolicy{GCBatch: 5, StateBudget: 100, MaxFrontierStates: 8, CommitCuts: true},
 			Parallelism: 16}, ""},
 		{"negative parallelism", check.Config{Parallelism: -1}, "negative"},
 		{"excess parallelism", check.Config{Parallelism: check.MaxParallelism + 1}, "exceeds"},
 		{"retention without retain", check.Config{Retention: check.RetentionPolicy{GCBatch: 1}}, "without retain"},
-		{"negative keep", check.Config{Retain: true, Retention: check.RetentionPolicy{KeepEvents: -2}}, "negative"},
 		{"negative gcbatch", check.Config{Retain: true, Retention: check.RetentionPolicy{GCBatch: -1}}, "negative"},
 		{"negative budget", check.Config{Retain: true, Retention: check.RetentionPolicy{StateBudget: -1}}, "negative"},
 		{"negative frontier", check.Config{Retain: true, Retention: check.RetentionPolicy{MaxFrontierStates: -3}}, "negative"},

@@ -3,14 +3,13 @@ package check
 import (
 	"repro/internal/check/loglin"
 	"repro/internal/history"
-	"repro/internal/spec"
 )
 
 // This file threads the log-linear decrease-and-conquer tier
 // (internal/check/loglin) through the package's three consumers:
 //
-//   - the one-shot Monitor composition (ForModel, via the FastTier adapter
-//     below) — ahead of the complete Wing–Gong search;
+//   - the one-shot Monitor (ForModel, monitor.go) — ahead of the complete
+//     Wing–Gong search;
 //   - the persistent segment checker (Incremental.fastTierSegment, called at
 //     the top of checkSegment) — the tier answers whole-history segments
 //     without touching the persistent searches, so retention and commit-cut
@@ -21,34 +20,6 @@ import (
 // The exact search Linearizable itself stays tier-free on purpose: it is the
 // reference the tier is differentially fuzzed against, and a reference that
 // consulted the tier would be circular.
-
-// fastTierMonitor adapts the tier to the Monitor interface: a definitive
-// verdict passes through, ambiguity becomes Maybe for the complete fallback.
-type fastTierMonitor struct {
-	m spec.Model
-}
-
-// FastTier returns the log-linear decision tier for m as a Monitor, or nil
-// if the model is outside the tier's fragment (not per-value matched). It
-// answers Maybe exactly on ambiguous histories.
-func FastTier(m spec.Model) Monitor {
-	if !loglin.Supported(m) {
-		return nil
-	}
-	return fastTierMonitor{m: m}
-}
-
-func (ft fastTierMonitor) Name() string { return "loglin-" + ft.m.Name() }
-
-func (ft fastTierMonitor) Check(h history.History) Verdict {
-	switch loglin.Decide(ft.m, h).V {
-	case loglin.Yes:
-		return Yes
-	case loglin.No:
-		return No
-	}
-	return Maybe
-}
 
 // fastTierSegment gives the log-linear tier first shot at a segment check.
 // decided reports whether the tier answered; ok is the answer.

@@ -73,7 +73,6 @@ type Incremental struct {
 	searches []*segSearch // persistent segment search per frontier state
 	dead     []bool       // retention: frontier states that exactly refuted the segment
 
-	marks        []cutMark     // retention: recent cuts eligible as GC points
 	planner      *cutPlanner   // commit-point cuts; nil unless retaining a StronglyOrdered model with CommitCuts
 	baseResident map[int64]int // planner residency at the GC base, for window reloads
 
@@ -88,16 +87,11 @@ type Incremental struct {
 	stats   IncStats
 }
 
-// cutMark remembers a cut (quiescent or commit-point) and its exact state
-// set so GC can honour RetentionPolicy.KeepEvents by cutting at an earlier
-// frontier.
-type cutMark struct {
-	idx    int // index into h
-	states []spec.State
-}
-
-// RetentionPolicy bounds the monitor's memory. The trade-offs, all of which
-// the default full-witness mode avoids by retaining everything:
+// RetentionPolicy bounds the monitor's memory. The collector discards the
+// whole committed prefix — everything before the current cut — once it holds
+// at least GCBatch events, and the exact frontier set at that cut becomes the
+// new base. The trade-offs, all of which the default full-witness mode avoids
+// by retaining everything:
 //
 //   - History() returns only the retained window, so a violation witness does
 //     not reach back past the GC horizon (the discarded prefix was committed
@@ -116,13 +110,11 @@ type cutMark struct {
 // point, temporarily retaining more.
 // The JSON tags are the wire form used by Config (monitorapi sessions and
 // the interchange tooling); renaming one is a wire-format change and needs a
-// protocol version bump.
+// protocol version bump. Dropping one is not: decoding ignores unknown
+// fields, so a peer that still sends a dropped field is served as if it had
+// not.
 type RetentionPolicy struct {
-	// KeepEvents is how many committed events to keep behind the frontier for
-	// diagnostic context. GC cuts at the most recent quiescent cut at least
-	// KeepEvents behind the current one. Default 0.
-	KeepEvents int `json:"keep_events,omitempty"`
-	// GCBatch is the minimum number of discardable events worth a GC pass;
+	// GCBatch is the minimum number of committed events worth a GC pass;
 	// smaller prefixes are kept until more commit. Default 64.
 	GCBatch int `json:"gc_batch,omitempty"`
 	// StateBudget caps the configurations explored beyond the linear minimum
@@ -151,9 +143,6 @@ func (p RetentionPolicy) withDefaults() RetentionPolicy {
 	if p.MaxFrontierStates <= 0 {
 		p.MaxFrontierStates = 16
 	}
-	if p.KeepEvents < 0 {
-		p.KeepEvents = 0
-	}
 	return p
 }
 
@@ -162,7 +151,7 @@ type IncOption func(*Incremental)
 
 // IncStats counts what the incremental pipeline actually did; EXPERIMENTS.md
 // records them and cmd/stress prints them. Counters are cumulative over the
-// monitor's lifetime — Reset does not zero them (see Reset).
+// monitor's lifetime — reloads do not zero them (see ReloadWindow).
 type IncStats struct {
 	Appends     int // Append calls
 	Events      int // events ingested (reloaded events count again)
@@ -173,7 +162,7 @@ type IncStats struct {
 	MaxSegment  int // largest segment (in events) ever checked
 	Fallbacks   int // full-history fallback checks
 	Compactions int // quiescent cuts committed
-	Resets      int // Reset and ReloadWindow calls
+	Resets      int // ReloadWindow calls
 
 	SearchResumes  int // segment checks answered by resuming the persistent search
 	SearchRebuilds int // scratch rebuilds of the persistent search
@@ -234,9 +223,8 @@ func NewIncremental(m spec.Model, opts ...IncOption) *Incremental {
 }
 
 // Config returns the configuration the monitor was built with (as given —
-// retention defaults are applied internally, not reflected back). The
-// monitoring service uses it to refuse a session reopen whose configuration
-// disagrees with the live monitor's.
+// retention defaults are applied internally, not reflected back); a restored
+// monitor returns its image's.
 func (inc *Incremental) Config() Config { return inc.cfg }
 
 // Append extends the monitored history with delta and returns the verdict for
@@ -576,20 +564,16 @@ func (inc *Incremental) enumerateFrontier(piece history.History, wholeSegment bo
 
 // installFrontier commits the frontier at cut with the given exact state
 // set, dropping the per-state searches (the next segment check rebuilds them
-// over the shrunk segment), and records the cut as a GC mark. Retention-mode
-// cuts only.
+// over the shrunk segment). Retention-mode cuts only.
 //
 // The enumeration's states are never kept themselves. Each one belongs to
 // the walk's chain: its successor caches and the chain's arena chunks reach
 // every state the walk visited, so keeping one would keep the whole walk
-// until the next cut. The frontier and the mark get spec.Detach copies
-// instead, one each: a frontier state becomes a search root and grows a
-// chain of its own, which a mark (and through gc, the base) must not pin.
+// until the next cut. The frontier gets spec.Detach copies instead.
 func (inc *Incremental) installFrontier(cut int, states []spec.State) {
 	inc.releaseSearches()
 	inc.cutIdx = cut
 	inc.frontier = detachStates(states)
-	inc.marks = append(inc.marks, cutMark{idx: cut, states: detachStates(states)})
 	inc.searches = make([]*segSearch, len(states))
 	inc.dead = make([]bool, len(states))
 	inc.stats.Compactions++
@@ -631,34 +615,25 @@ func (inc *Incremental) compactWitness(lin []LinOp, end int) {
 	inc.stats.FrontierStates = 1
 }
 
-// gc discards committed events behind the most recent cut that honours
-// KeepEvents, once at least GCBatch events are discardable. The frontier set
-// recorded at that cut becomes the new base: the monitor provably cannot
-// need anything older (every discarded operation completed before the cut
-// and the set covers every witness choice).
+// gc discards the committed prefix — every event before the cut — once it
+// holds at least GCBatch events. The frontier set at the cut becomes the new
+// base: the monitor provably cannot need anything older (every discarded
+// operation completed before the cut and the set covers every witness
+// choice). It runs right after installFrontier, before any search has rooted
+// at the new frontier, and the base gets detached copies of its own: the
+// frontier states are about to grow search chains the base must not pin.
 func (inc *Incremental) gc() {
-	best := -1
-	for i, m := range inc.marks {
-		if inc.cutIdx-m.idx >= inc.policy.KeepEvents {
-			best = i
-		}
-	}
-	if best < 0 {
+	cut := inc.cutIdx
+	if cut < inc.policy.GCBatch {
 		return
 	}
-	// Earlier marks can never be a better GC point again.
-	inc.marks = inc.marks[best:]
-	m := inc.marks[0]
-	if m.idx < inc.policy.GCBatch {
-		return
-	}
-	for _, e := range inc.h[:m.idx] {
+	for _, e := range inc.h[:cut] {
 		if inc.planner != nil && e.Kind == history.Return {
 			delete(inc.planner.void, e.ID)
 		}
 		if e.Kind == history.Invoke {
 			// Carried producer invocations are never here: commit cuts splice
-			// them past the mark before the collector can reach them, so a
+			// them past the cut before the collector can reach them, so a
 			// pending operation's id (and duplicate detection for it) always
 			// survives GC.
 			delete(inc.seenIDs, e.ID)
@@ -672,18 +647,18 @@ func (inc *Incremental) gc() {
 			inc.respDropped++
 		}
 	}
-	inc.h = inc.h[m.idx:] // appends reallocate at O(window), releasing the prefix
-	inc.hBase += m.idx
-	inc.cutIdx -= m.idx
+	inc.h = inc.h[cut:] // appends reallocate at O(window), releasing the prefix
+	inc.hBase += cut
+	inc.cutIdx = 0
 	kept := inc.cuts[:0]
 	for _, q := range inc.cuts {
-		if q > m.idx {
-			kept = append(kept, q-m.idx)
+		if q > cut {
+			kept = append(kept, q-cut)
 		}
 	}
 	inc.cuts = kept
 	if inc.planner != nil {
-		inc.planner.shift(m.idx)
+		inc.planner.shift(cut)
 		// Residency AT the horizon, not at GC time: the planner's totals
 		// include everything tracked since, so the kept window's
 		// contribution is reversed back out. Snapshotting the totals
@@ -691,12 +666,9 @@ func (inc *Incremental) gc() {
 		// multiset and diverge from the continuous Append path.
 		inc.baseResident = inc.planner.residencyBefore(inc.h)
 	}
-	inc.base = m.states
-	for i := range inc.marks {
-		inc.marks[i].idx -= m.idx
-	}
+	inc.base = detachStates(inc.frontier)
 	inc.stats.GCRuns++
-	inc.stats.DiscardedEvents += m.idx
+	inc.stats.DiscardedEvents += cut
 }
 
 // gauges refreshes the point-in-time stats.
@@ -705,20 +677,17 @@ func (inc *Incremental) gauges() {
 	inc.stats.RetainedBytes = int64(len(inc.h)) * history.EventBytes
 }
 
-// Reset discards all monitoring state and reloads the monitor with h,
-// returning its verdict. The decoupled pipeline uses it when late-published
-// tuples force a full reconstruction of X(τ). Stats are NOT zeroed: IncStats
-// counters are cumulative over the monitor's lifetime, so pipeline totals
-// survive reloads (Resets counts them; Events counts reloaded events again).
-func (inc *Incremental) Reset(h history.History) Verdict {
+// reset discards all monitoring state and reloads the monitor with h,
+// returning its verdict: ReloadWindow before any GC or without retention.
+func (inc *Incremental) reset(h history.History) Verdict {
 	inc.hBase = 0
 	inc.base = nil
 	inc.baseResident = nil
 	// The per-kind discard counters rewind with the horizon: nothing of the
 	// new history has been collected. Callers mirroring buffers off
 	// DiscardedResponses/DiscardedInvocations must rewind their cursors
-	// alongside a Reset (the pipeline only ever Resets pre-GC monitors, so
-	// its cursors are already zero).
+	// alongside a reset (ReloadWindow only resets pre-GC monitors, so their
+	// cursors are already zero).
 	inc.respDropped = 0
 	inc.invDropped = nil
 	if !inc.reload(h, []spec.State{inc.model.Init()}) {
@@ -733,11 +702,10 @@ func (inc *Incremental) Reset(h history.History) Verdict {
 // reload replaces the retained history with h against the given frontier,
 // clearing all per-stream state and replaying h through the well-formedness
 // admitter (recording quiescent cuts as it goes). It reports whether h is
-// well-formed; if not, the verdict is already No with Err set. Reset and
+// well-formed; if not, the verdict is already No with Err set. reset and
 // ReloadWindow share it and differ only in which frontier anchors the replay.
 func (inc *Incremental) reload(h history.History, frontier []spec.State) bool {
 	inc.h = append(inc.h[:0:0], h...)
-	inc.marks = nil
 	inc.cuts = inc.cuts[:0]
 	inc.resetFrontier(frontier)
 	inc.pendingOp = make(map[int]uint64)
@@ -771,12 +739,16 @@ func (inc *Incremental) reload(h history.History, frontier []spec.State) bool {
 }
 
 // ReloadWindow replaces the retained window with h while keeping the GC base:
-// the monitor re-decides h as the continuation of the discarded prefix. The
-// retention pipeline uses it when late-published tuples force a window
-// rebuild; before any GC (or without retention) it is exactly Reset.
+// the monitor re-decides h as the continuation of the discarded prefix and
+// returns its verdict. The decoupled pipeline uses it when late-published
+// tuples force a reconstruction of X(τ). Before any GC (or without
+// retention) nothing is discarded, so h is the whole history and the monitor
+// is reloaded from scratch. Stats are NOT zeroed: IncStats counters are
+// cumulative over the monitor's lifetime, so pipeline totals survive reloads
+// (Resets counts them; Events counts reloaded events again).
 func (inc *Incremental) ReloadWindow(h history.History) Verdict {
 	if !inc.retain || inc.hBase == 0 {
-		return inc.Reset(h)
+		return inc.reset(h)
 	}
 	defer inc.gauges() // advanceCuts below can collect part of the window
 	// The reloaded frontier roots new searches; detached copies keep their

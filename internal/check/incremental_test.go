@@ -151,7 +151,7 @@ func TestIncrementalReset(t *testing.T) {
 	m := spec.Queue()
 	inc := NewIncremental(m)
 	h := trace.RandomLinearizable(m, 3, 2, 20)
-	if got, want := inc.Reset(h), IsLinearizable(m, h); (got == Yes) != want {
+	if got, want := inc.reset(h), IsLinearizable(m, h); (got == Yes) != want {
 		t.Fatalf("reset verdict %v, full %v", got, want)
 	}
 	// Continue incrementally after the reset.

@@ -1,12 +1,14 @@
 package check
 
 import (
+	"repro/internal/check/loglin"
 	"repro/internal/history"
 	"repro/internal/spec"
 )
 
-// Verdict is the outcome of a monitor. Fast monitors may answer Maybe, in
-// which case a complete checker must decide.
+// Verdict is the outcome of a monitor. The monitors of this package are
+// complete and answer Yes or No; Maybe is the undecided value a partial
+// decider reports.
 type Verdict int8
 
 const (
@@ -38,50 +40,38 @@ type Monitor interface {
 	Check(h history.History) Verdict
 }
 
-// wgMonitor adapts the complete Wing–Gong checker to the Monitor interface.
-type wgMonitor struct {
-	m spec.Model
-}
-
-// WG returns the complete checker for m as a Monitor; it never answers Maybe.
-func WG(m spec.Model) Monitor { return wgMonitor{m: m} }
-
-func (w wgMonitor) Name() string { return "wg-" + w.m.Name() }
-
-func (w wgMonitor) Check(h history.History) Verdict {
-	if IsLinearizable(w.m, h) {
-		return Yes
-	}
-	return No
-}
-
-// hybrid runs a fast (possibly partial) monitor first and falls back to a
-// complete one on Maybe.
-type hybrid struct {
-	fast, full Monitor
-}
-
-// Hybrid composes a fast pre-filter with a complete fallback. The result is
-// complete if full is.
-func Hybrid(fast, full Monitor) Monitor { return hybrid{fast: fast, full: full} }
-
-func (hy hybrid) Name() string { return hy.fast.Name() + "+" + hy.full.Name() }
-
-func (hy hybrid) Check(h history.History) Verdict {
-	if v := hy.fast.Check(h); v != Maybe {
-		return v
-	}
-	return hy.full.Check(h)
+// oneShot is the monitor ForModel returns.
+type oneShot struct {
+	m    spec.Model
+	tier bool // the model is in the log-linear tier's fragment
 }
 
 // ForModel returns the best monitor available for the model: the log-linear
-// decision tier (FastTier) decides unambiguous histories outright and only
-// the ambiguous remainder reaches the complete memoised search. Models
-// outside the tier's fragment get the complete search alone. The B7
-// benchmarks drive this composition.
-func ForModel(m spec.Model) Monitor {
-	if ft := FastTier(m); ft != nil {
-		return Hybrid(ft, WG(m))
+// decision tier (internal/check/loglin) decides unambiguous histories
+// outright and only the ambiguous remainder reaches the complete memoised
+// search. Models outside the tier's fragment get the complete search alone.
+// The monitor is complete: it never answers Maybe. The B7 benchmarks drive
+// it.
+func ForModel(m spec.Model) Monitor { return oneShot{m: m, tier: loglin.Supported(m)} }
+
+func (o oneShot) Name() string {
+	if o.tier {
+		return "loglin-" + o.m.Name() + "+wg-" + o.m.Name()
 	}
-	return WG(m)
+	return "wg-" + o.m.Name()
+}
+
+func (o oneShot) Check(h history.History) Verdict {
+	if o.tier {
+		switch loglin.Decide(o.m, h).V {
+		case loglin.Yes:
+			return Yes
+		case loglin.No:
+			return No
+		}
+	}
+	if IsLinearizable(o.m, h) {
+		return Yes
+	}
+	return No
 }

@@ -295,7 +295,7 @@ func frontierStream(rounds int) []history.History {
 }
 
 // TestCutDetachesKeptStates: the states a retained monitor keeps at a cut
-// (frontier, cut marks, GC base) do not hold on to the enumeration walk that
+// (frontier, GC base) do not hold on to the enumeration walk that
 // produced them, nor to the searches rooted at the frontier. One queue
 // monitor over 160 frontier rounds holds at most 3.5 MB of live heap between
 // appends; when the kept states were the walk's own, it held 10.4 MB. The

@@ -113,7 +113,7 @@ func TestRetentionFrontierMultiState(t *testing.T) {
 func TestRetentionBoundedMemory(t *testing.T) {
 	const ops = 5000
 	m := spec.Counter()
-	inc := NewIncremental(m, WithConfig(Config{Retain: true, Retention: RetentionPolicy{GCBatch: 32, KeepEvents: 16}}))
+	inc := NewIncremental(m, WithConfig(Config{Retain: true, Retention: RetentionPolicy{GCBatch: 32}}))
 	var id uint64
 	maxRetained := 0
 	for i := 0; i < ops; i++ {
@@ -125,7 +125,7 @@ func TestRetentionBoundedMemory(t *testing.T) {
 			maxRetained = r
 		}
 	}
-	if bound := 2 * (32 + 16 + 8); maxRetained > bound {
+	if bound := 2 * (32 + 8); maxRetained > bound {
 		t.Fatalf("retained window %d events exceeds policy bound %d", maxRetained, bound)
 	}
 	st := inc.Stats()
@@ -153,7 +153,7 @@ func TestRetentionBoundedMemory(t *testing.T) {
 	}
 }
 
-// TestResetKeepsStats: Reset reloads the monitor but must not discard the
+// TestResetKeepsStats: reset reloads the monitor but must not discard the
 // accumulated pipeline counters — the decoupled dispatcher reports lifetime
 // totals across rebuild-triggered reloads. Covers both the linearizable and
 // the ill-formed reload paths.
@@ -169,7 +169,7 @@ func TestResetKeepsStats(t *testing.T) {
 	if before.Appends == 0 || before.Events != len(h) {
 		t.Fatalf("bad precondition: %+v", before)
 	}
-	if got, want := inc.Reset(h), IsLinearizable(m, h); (got == Yes) != want {
+	if got, want := inc.reset(h), IsLinearizable(m, h); (got == Yes) != want {
 		t.Fatalf("reset verdict %v, full %v", got, want)
 	}
 	after := inc.Stats()
@@ -190,7 +190,7 @@ func TestResetKeepsStats(t *testing.T) {
 	ill := history.History{
 		{Kind: history.Return, Proc: 0, ID: 99, Op: spec.Operation{Method: spec.MethodDeq, Uniq: 99}, Res: spec.ValueResp(1)},
 	}
-	if inc.Reset(ill) != No || inc.Err() == nil {
+	if inc.reset(ill) != No || inc.Err() == nil {
 		t.Fatalf("ill-formed reload: verdict=%v err=%v", inc.Verdict(), inc.Err())
 	}
 	final := inc.Stats()
@@ -240,8 +240,7 @@ func TestRetentionFuzz(t *testing.T) {
 				h = trace.Mutate(h, seed*41)
 			}
 			pol := RetentionPolicy{
-				GCBatch:    1 + rng.Intn(32),
-				KeepEvents: rng.Intn(16),
+				GCBatch: 1 + rng.Intn(32),
 			}
 			inc := NewIncremental(m, WithConfig(Config{Retain: true, Retention: pol}))
 			prefix := 0
@@ -251,7 +250,7 @@ func TestRetentionFuzz(t *testing.T) {
 				if rng.Intn(8) == 0 {
 					// Full reload mid-stream, as the pipeline does on
 					// out-of-order publication.
-					got = inc.Reset(append(history.History(nil), h[:prefix]...))
+					got = inc.reset(append(history.History(nil), h[:prefix]...))
 				} else {
 					got = inc.Append(delta)
 				}

@@ -451,17 +451,14 @@ func (iv *IncVerifier) rebuild() {
 	}
 	if iv.inc != nil {
 		if iv.retain {
-			// Re-anchor at the GC base and realign the retained buffer with
-			// the canonical response order of the reconstruction, which is
-			// the order the monitor's collector will discard in.
+			// Realign the retained buffer with the canonical response order
+			// of the reconstruction, which is the order the monitor's
+			// collector will discard in.
 			sortTuplesCanonical(iv.all)
-			iv.verdict = iv.inc.ReloadWindow(h)
-			iv.err = iv.inc.Err()
-			iv.syncGC()
-		} else {
-			iv.verdict = iv.inc.Reset(h)
-			iv.err = iv.inc.Err()
 		}
+		iv.verdict = iv.inc.ReloadWindow(h)
+		iv.err = iv.inc.Err()
+		iv.syncGC()
 		iv.stats.Check = iv.inc.Stats()
 		return
 	}

@@ -112,7 +112,7 @@ func TestOpenZeroConfigOmitted(t *testing.T) {
 func TestConfigRoundTrip(t *testing.T) {
 	cfg := check.Config{
 		Retain:      true,
-		Retention:   check.RetentionPolicy{KeepEvents: 256, GCBatch: 8, CommitCuts: true},
+		Retention:   check.RetentionPolicy{GCBatch: 8, CommitCuts: true},
 		Parallelism: 4,
 	}
 	data, err := json.Marshal(Open{Version: 1, Tenant: "t", Object: "o", Model: "queue", Config: cfg})

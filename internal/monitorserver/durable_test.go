@@ -158,7 +158,7 @@ func TestDurableRestartSoak(t *testing.T) {
 			}
 			cfg := check.Config{
 				Retain:    true,
-				Retention: check.RetentionPolicy{KeepEvents: 128, GCBatch: 4},
+				Retention: check.RetentionPolicy{GCBatch: 4},
 			}
 			bs := batches(h, 30)
 

@@ -130,7 +130,7 @@ func TestLoopbackSoak(t *testing.T) {
 
 	cfg := check.Config{
 		Retain:    true,
-		Retention: check.RetentionPolicy{KeepEvents: 128, GCBatch: 4},
+		Retention: check.RetentionPolicy{GCBatch: 4},
 	}
 	models := []string{"queue", "stack", "set", "counter"}
 	const (
@@ -455,7 +455,7 @@ func TestBadFrames(t *testing.T) {
 			Open: &monitorapi.Open{Version: 99, Tenant: "t", Object: "o", Model: "queue"}}), "version"},
 		{"bad config", frame(monitorapi.ClientFrame{Type: monitorapi.FrameOpen,
 			Open: &monitorapi.Open{Version: 1, Tenant: "t", Object: "o", Model: "queue",
-				Config: check.Config{Retention: check.RetentionPolicy{KeepEvents: 9}}}}), "retention policy set without retain"},
+				Config: check.Config{Retention: check.RetentionPolicy{GCBatch: 9}}}}), "retention policy set without retain"},
 		{"unknown frame", frame(monitorapi.ClientFrame{Type: "subscribe"}), "unknown frame type"},
 		{"malformed JSON", `{"type":"open",` + "\n", "bad frame: unexpected end of JSON input"},
 		{"ill-typed field", `{"type":"events","batch":{"seq":"one"}}` + "\n", "bad frame: json: cannot unmarshal string"},

@@ -440,13 +440,11 @@ func RunFastTier() B13Result {
 	m := B13Model()
 	h := B13History()
 	r := check.Linearizable(m, h)
-	ft := check.FastTier(m)
-	v := ft.Check(h)
 	d := loglin.Decide(m, h)
 	decided := d.V == loglin.Yes || d.V == loglin.No
 	return B13Result{
 		Explored: r.Explored,
 		Steps:    d.Steps,
-		Agree:    decided && (v == check.Yes) == r.Ok,
+		Agree:    decided && (d.V == loglin.Yes) == r.Ok,
 	}
 }
