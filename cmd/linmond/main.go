@@ -43,7 +43,7 @@ func main() {
 
 func run() int {
 	listen := flag.String("listen", "127.0.0.1:7474", "address to listen on")
-	workers := flag.Int("workers", 1, "worker goroutines that run objects' jobs (searches and periodic checkpoints)")
+	workers := flag.Int("workers", 1, "worker goroutines that run objects' jobs (searches and checkpoint encoding); with -state-dir, also the number of checkpoint writers")
 	queue := flag.Int("queue", 256, "global ingest queue depth (batches)")
 	window := flag.Int("window", 8, "default per-session credit window (max unacked batches)")
 	gaugeEvery := flag.Int("gauge-every", 16, "stream a gauge frame every n acks (<0 disables)")

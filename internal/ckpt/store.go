@@ -53,7 +53,7 @@ var ErrNoCheckpoint = errors.New("ckpt: no intact checkpoint")
 // Store reads and writes checkpoint envelopes under one directory.
 // Concurrent use is safe only per-key-single-writer (the CAS rule serialises
 // accidental violations); the monitoring service saves different objects
-// concurrently, each from one goroutine at a time.
+// concurrently, with at most one save of a key out at a time.
 type Store struct {
 	fs  FS
 	dir string

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/check"
+	"repro/internal/ckpt"
 	"repro/internal/monitorclient"
 	"repro/internal/monitorserver"
 	"repro/internal/spec"
@@ -116,4 +117,53 @@ func BenchmarkLoopbackTwoObjects(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(2*events*b.N)/b.Elapsed().Seconds(), "events/s")
+}
+
+// BenchmarkLoopbackDurable is BenchmarkLoopbackIngest against a durable
+// server: an OsFS store in a temporary directory and a checkpoint every 8
+// batches, the cadence of linbench's durable_nq. The saves run beside the
+// stream rather than before its acks, so events/s measures how much of the
+// write-temp, fsync, rename and prune the ack path still pays.
+func BenchmarkLoopbackDurable(b *testing.B) {
+	store, err := ckpt.NewStore(ckpt.OsFS{}, b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := monitorserver.Serve(ln, monitorserver.Options{
+		Logf:            func(string, ...any) {},
+		GaugeEvery:      -1,
+		Store:           store,
+		CheckpointEvery: 8,
+	})
+	defer srv.Close()
+
+	m, _ := spec.ByName("counter")
+	bs := batches(genQuiescing(m, 42, 4, 4096), 128)
+	b.ReportAllocs()
+	b.ResetTimer()
+	sent, events, obj := 0, 0, 0
+	for sent < b.N {
+		sess, err := monitorclient.Dial(srv.Addr().String(), "bench", fmt.Sprintf("o%d", obj), "counter")
+		if err != nil {
+			b.Fatal(err)
+		}
+		obj++
+		for _, batch := range bs {
+			if err := sess.Send(batch); err != nil {
+				b.Fatal(err)
+			}
+			events += len(batch)
+			if sent++; sent >= b.N {
+				break
+			}
+		}
+		if _, err := sess.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
 }

@@ -296,25 +296,32 @@ func TestDurableLostTailIsLoud(t *testing.T) {
 		h := genQuiescing(m, 11, 3, 300)
 		bs := batches(h, 30)
 
-		// A checkpoint every batch makes every ack durable through its own
-		// batch, whatever jobs the batches share. With a coarser cadence
-		// the last ack can lag the applied tail, and the drain checkpoint of
-		// the restart then writes a newer intact generation than the one
-		// this test corrupts.
+		// An ack's durable horizon lags its own batch: the job's checkpoint
+		// is written after the ack goes out. So a session's last ack never
+		// names the newest generation, and losing that generation leaves
+		// the session able to replay. A bye, though, leaves the object
+		// durable through its last batch before the stats frame, and the
+		// hello of a session opened after it names exactly that newest
+		// generation — and the drain of the restart then has nothing newer
+		// to write over the generation this test corrupts.
 		dh := newDurableHarness(t, 1)
-		sess, err := monitorclient.Dial(dh.addr, "t", "obj", "queue",
-			monitorclient.WithReconnect(40, 25*time.Millisecond))
+		first, err := monitorclient.Dial(dh.addr, "t", "obj", "queue")
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, b := range bs[:len(bs)-1] {
-			if err := sess.Send(b); err != nil {
+			if err := first.Send(b); err != nil {
 				t.Fatal(err)
 			}
 		}
-		// Quiesce so the replay buffer is trimmed to the newest durable
-		// generation, then lose that generation.
-		if _, err := sess.Drain(); err != nil {
+		if _, err := first.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// The resuming session's durable horizon is the newest generation,
+		// so it buffers nothing for replay. Lose that generation.
+		sess, err := monitorclient.Dial(dh.addr, "t", "obj", "queue",
+			monitorclient.WithReconnect(40, 25*time.Millisecond))
+		if err != nil {
 			t.Fatal(err)
 		}
 		corruptCheckpoints(t, dh.mem, true)

@@ -7,17 +7,22 @@
 // bookkeeping — applied and durable cursors, cached verdict, session binding
 // — and the check.Shards registry, so Shards.Add never races. Options.Workers
 // worker goroutines run objects' jobs: a job is one Append of the batches an
-// object staged since its last job, plus a periodic checkpoint when one is
-// due. An object has at most one job out, and its monitor belongs to that
-// job's worker until the job comes back — one goroutine per monitor at a
-// time, which is the contract Shards documents. The dispatcher stages each
-// batch on its object and hands the object to a free worker when it has no
-// job out; batches that arrive meanwhile concatenate into the object's next
-// job, so an object's stream stays ordered while different objects never
-// wait for each other's searches or fsyncs. Each job is committed (cursors,
-// durability, acks, gauges) on the dispatcher as it comes back. An open or
-// bye of an object, and the drain of Close, first settle it: the dispatcher
-// waits for that object's jobs only, after which it may read the monitor.
+// object staged since its last job, plus the encoding of a periodic
+// checkpoint when one is due. An object has at most one job out, and its
+// monitor belongs to that job's worker until the job comes back — one
+// goroutine per monitor at a time, which is the contract Shards documents.
+// The dispatcher stages each batch on its object and hands the object to a
+// free worker when it has no job out; batches that arrive meanwhile
+// concatenate into the object's next job, so an object's stream stays
+// ordered while different objects never wait for each other's searches.
+// Each job is committed (cursors, acks, gauges) on the dispatcher as it
+// comes back; an encoded checkpoint then goes to one of Options.Workers
+// saver goroutines, which writes it to the Store while the object's next
+// jobs run, so no ack waits for an fsync. A finished save returns to the
+// dispatcher, which advances the object's durable horizon; acks carry the
+// horizon on disk when they are sent. An open or bye of an object, and the
+// drain of Close, first settle it: the dispatcher waits for that object's
+// jobs and save only, after which it may read the monitor.
 // Per-connection reader goroutines read one frame per line, decode events
 // frames straight into histories (monitorapi.FrameDecoder) and queue work on
 // a bounded global ingest channel; per-connection writer goroutines drain
@@ -63,8 +68,10 @@ import (
 // the defaults documented on each.
 type Options struct {
 	// Workers is the number of worker goroutines that run objects' jobs
-	// (default 1): at most this many objects' searches and periodic
-	// checkpoints run at once.
+	// (default 1): at most this many objects' searches run at once. With a
+	// Store it is also the number of saver goroutines that write periodic
+	// checkpoints off the ack path: at most this many periodic checkpoints
+	// are being written at once, and at most one per object.
 	Workers int
 	// QueueDepth bounds the global ingest channel (default 256 batches).
 	QueueDepth int
@@ -88,7 +95,10 @@ type Options struct {
 	// CheckpointEvery is how many applied batches an object accumulates
 	// between periodic checkpoints (default 64; meaningful only with Store).
 	// Smaller bounds the replay a restart asks of clients; larger amortises
-	// the serialisation cost.
+	// the serialisation cost. A checkpoint that comes due while the object's
+	// previous one is still being written, or while every saver is busy, is
+	// taken by the object's first job after that, so under a slow disk the
+	// cadence stretches instead of queueing writes.
 	CheckpointEvery int
 }
 
@@ -423,6 +433,7 @@ type object struct {
 	gen       uint64 // newest store generation this instance wrote or restored
 	durable   uint64 // highest batch seq covered by a durable checkpoint
 	sinceCkpt int    // batches applied since the last checkpoint attempt
+	saving    bool   // a periodic checkpoint is reserved or out on a saver
 }
 
 // running reports whether a job of the object is out on a worker: the
@@ -430,27 +441,37 @@ type object struct {
 func (o *object) running() bool { return o.staged > o.nextN }
 
 // job is one run of an object's monitor on a worker: one Append of the
-// batches staged since the object's last job, then a periodic checkpoint
-// when one is due. The dispatcher fills in the input and hands the job over
-// on jobs; the worker fills in the results and hands it back on done.
+// batches staged since the object's last job, then, when a periodic
+// checkpoint is due, its encoding. The dispatcher fills in the input and
+// hands the job over on jobs; the worker fills in the results and hands it
+// back on done. A job with a payload then goes on to a saver, reserved for
+// it at launch, over writes: the saver writes the payload and hands the job
+// back on written.
 type job struct {
 	obj   *object
 	delta history.History
 	n     int    // batches in delta
 	last  uint64 // seq of delta's last batch
-	save  bool   // checkpoint after the Append
+	save  bool   // encode a checkpoint after the Append; a saver is reserved
 	gen   uint64 // store generation the checkpoint expects
 
 	verdict check.Verdict
-	saved   uint64 // generation written, when save succeeded
-	err     error  // why save failed
+	payload []byte // the encoded checkpoint, when save
+	err     error  // why encoding or, on the saver, writing failed
+	saved   uint64 // generation written, when the save succeeded
 }
+
+// jobHook, when set, runs on the worker at the start of every job with the
+// object's name. Tests set it to hold a job out; it is nil in production.
+var jobHook func(object string)
 
 // dispatcher is the state of the dispatcher goroutine: the only goroutine
 // that touches objects, sessions' object bindings and the Shards registry.
 // At most Options.Workers jobs are out at once, so jobs and done, each with
 // that capacity, never block a send; objects with staged batches wait for a
-// free worker on runq, in FIFO order.
+// free worker on runq, in FIFO order. Likewise at most Options.Workers
+// saves are reserved, so writes and written never block a send either; they
+// are nil without a Store.
 type dispatcher struct {
 	srv     *Server
 	shards  *check.Shards
@@ -459,14 +480,17 @@ type dispatcher struct {
 	done    chan *job
 	out     int       // jobs handed out and not yet finished
 	runq    []*object // non-empty only while out == cap(jobs)
+	writes  chan *job
+	written chan *job
+	saving  int // saves reserved at launch and not yet written back
 	workers sync.WaitGroup
 }
 
 // dispatch is the dispatcher goroutine. It stages each batch on its object
 // and hands the object to a worker whenever it has staged batches and no
 // job out, so objects never wait for each other's searches or checkpoints,
-// and commits each finished job — cursors, durability, acks, gauges — as it
-// comes back.
+// commits each finished job — cursors, acks, gauges — as it comes back, and
+// advances an object's durable horizon when its save comes back.
 func (s *Server) dispatch() {
 	defer close(s.done)
 	d := &dispatcher{
@@ -482,6 +506,14 @@ func (s *Server) dispatch() {
 		d.workers.Add(1)
 		go d.work()
 	}
+	if s.opts.Store != nil {
+		d.writes = make(chan *job, s.opts.Workers)
+		d.written = make(chan *job, s.opts.Workers)
+		for range s.opts.Workers {
+			d.workers.Add(1)
+			go d.saver()
+		}
+	}
 	for {
 		select {
 		case msg, ok := <-s.ingest:
@@ -492,7 +524,19 @@ func (s *Server) dispatch() {
 			d.handle(msg)
 		case j := <-d.done:
 			d.finish(j)
+		case j := <-d.written:
+			d.wrote(j)
 		}
+	}
+}
+
+// await commits the next job or save that comes back.
+func (d *dispatcher) await() {
+	select {
+	case j := <-d.done:
+		d.finish(j)
+	case j := <-d.written:
+		d.wrote(j)
 	}
 }
 
@@ -542,23 +586,44 @@ func (d *dispatcher) handle(msg ingestMsg) {
 func (d *dispatcher) work() {
 	defer d.workers.Done()
 	for j := range d.jobs {
+		if jobHook != nil {
+			jobHook(j.obj.name)
+		}
 		j.verdict = j.obj.inc.Append(j.delta)
 		if j.save {
-			j.saved, j.err = d.srv.save(j.obj, j.last, j.gen)
+			j.payload, j.err = j.obj.encode(j.last)
 		}
 		d.done <- j
 	}
 }
 
+// saver is a saver goroutine: it writes the checkpoints jobs encoded until
+// the dispatcher closes writes. The monitor is not touched here, so the
+// object's next jobs run while the write is out.
+func (d *dispatcher) saver() {
+	defer d.workers.Done()
+	for j := range d.writes {
+		j.saved, j.err = d.srv.opts.Store.Save(j.obj.key, j.gen, j.payload)
+		j.payload = nil
+		d.written <- j
+	}
+}
+
 // launch hands obj's staged batches to a worker as one job. The caller
-// guarantees a free worker and that obj has no job out.
+// guarantees a free worker and that obj has no job out. A due checkpoint
+// rides on the job only if obj has no save out and a saver is free; it
+// reserves that saver, so the encoded payload never waits for one.
+// Otherwise sinceCkpt keeps counting and a later job takes it.
 func (d *dispatcher) launch(obj *object) {
 	j := &job{obj: obj, delta: obj.next, n: obj.nextN, last: obj.applied + uint64(obj.nextN)}
 	obj.next, obj.nextN = nil, 0
 	obj.sinceCkpt += j.n
-	if d.srv.opts.Store != nil && obj.sinceCkpt >= d.srv.opts.CheckpointEvery {
+	if d.writes != nil && obj.sinceCkpt >= d.srv.opts.CheckpointEvery &&
+		!obj.saving && d.saving < cap(d.writes) {
 		j.save, j.gen = true, obj.gen
 		obj.sinceCkpt = 0
+		obj.saving = true
+		d.saving++
 	}
 	d.out++
 	d.jobs <- j
@@ -580,24 +645,22 @@ func (d *dispatcher) ready(obj *object) {
 	d.pump()
 }
 
-// finish commits a job that came back: the applied cursor and the cached
-// verdict advance, a checkpoint it took makes the object durable through the
-// job's last batch, and then the batches' acks and gauges go out — so an
-// ack's Durable reflects its own job's checkpoint. The monitor consumed the
-// batches whether or not their session is still attached, so applied
-// advances either way and a reconnect does not re-apply them; acks go to the
-// attached session, which is the one that sent them (a new session attaches
-// only to a settled object). Batches staged while the job ran relaunch the
-// object.
+// finish commits a job that came back at once: the applied cursor and the
+// cached verdict advance, the batches' acks and gauges go out, and then a
+// checkpoint the job encoded goes to its reserved saver. An ack's Durable is
+// the horizon already on disk when it is sent, so it never runs ahead of
+// disk but may lag the ack's own seq; the job's checkpoint advances it when
+// the save comes back (wrote). The monitor consumed the batches whether or
+// not their session is still attached, so applied advances either way and a
+// reconnect does not re-apply them; acks go to the attached session, which
+// is the one that sent them (a new session attaches only to a settled
+// object). Batches staged while the job ran relaunch the object.
 func (d *dispatcher) finish(j *job) {
 	d.out--
 	obj := j.obj
 	obj.applied = j.last
 	obj.staged -= j.n
 	obj.verdict = j.verdict
-	if j.save {
-		d.saved(obj, j.last, j.saved, j.err)
-	}
 	if sess := obj.sess; sess != nil {
 		opts := &d.srv.opts
 		for seq := j.last - uint64(j.n) + 1; seq <= j.last; seq++ {
@@ -620,6 +683,14 @@ func (d *dispatcher) finish(j *job) {
 			}
 		}
 	}
+	if j.save {
+		if j.err != nil {
+			d.release(obj)
+			d.saved(obj, j.last, 0, j.err)
+		} else {
+			d.writes <- j // the saver was reserved at launch: never blocks
+		}
+	}
 	if obj.nextN > 0 {
 		d.ready(obj)
 	} else {
@@ -627,30 +698,48 @@ func (d *dispatcher) finish(j *job) {
 	}
 }
 
-// settle returns once obj has no job out and nothing staged: every batch it
-// accepted is committed and acked, and its monitor is the dispatcher's to
-// read. It waits for obj's jobs only. Other objects' jobs that come back
+// wrote commits a save that came back: the saver is free again, and a
+// successful write makes the object durable through the job's last batch.
+// The new horizon rides on the object's next ack or hello.
+func (d *dispatcher) wrote(j *job) {
+	d.release(j.obj)
+	d.saved(j.obj, j.last, j.saved, j.err)
+}
+
+// release returns the saver reserved for obj's periodic checkpoint.
+func (d *dispatcher) release(obj *object) {
+	obj.saving = false
+	d.saving--
+}
+
+// settle returns once obj has no job out, nothing staged and no save out:
+// every batch it accepted is committed and acked, its store generation is
+// settled, and its monitor is the dispatcher's to read. It waits for obj's
+// jobs and save only. Other objects' jobs and saves that come back
 // meanwhile are committed (and relaunched) as usual; nothing new is read
 // from the ingest queue until it returns.
 func (d *dispatcher) settle(obj *object) {
 	// Staged batches are on a job out or on the run queue, and the run queue
 	// is non-empty only while every worker is busy, so a job always comes
-	// back.
-	for obj.staged > 0 {
-		d.finish(<-d.done)
+	// back; a save out is on a saver, which always writes it back.
+	for obj.staged > 0 || obj.saving {
+		d.await()
 	}
 }
 
-// drain runs when Close has stopped every reader: it waits for all jobs,
-// stops the workers and takes the final checkpoints. Every applied batch is
-// committed by then, so the graceful path (Close, and SIGTERM in linmond)
-// loses nothing, and the next instance's hello.Acked equals the last ack
-// sent.
+// drain runs when Close has stopped every reader: it waits for all jobs and
+// saves, stops the workers and savers and takes the final checkpoints. Every
+// applied batch is committed by then, so the graceful path (Close, and
+// SIGTERM in linmond) loses nothing, and the next instance's hello.Acked
+// equals the last ack sent.
 func (d *dispatcher) drain() {
-	for d.out > 0 {
-		d.finish(<-d.done)
+	for d.out > 0 || d.saving > 0 {
+		d.await()
 	}
 	close(d.jobs)
+	if d.writes != nil {
+		close(d.writes)
+	}
 	d.workers.Wait()
 	if d.srv.opts.Store == nil {
 		return
@@ -854,8 +943,8 @@ func mustModel(name string) spec.Model {
 	return m
 }
 
-// checkpoint durably saves a settled object's monitor on the dispatcher:
-// the bye and drain checkpoints.
+// checkpoint durably saves a settled object's monitor on the dispatcher,
+// encoding and writing in one go: the bye and drain checkpoints.
 func (d *dispatcher) checkpoint(obj *object) {
 	obj.sinceCkpt = 0
 	gen, err := d.srv.save(obj, obj.applied, obj.gen)
@@ -883,24 +972,31 @@ func (d *dispatcher) saved(obj *object, applied, gen uint64, err error) {
 
 // save writes obj's monitor, applied through batch seq applied, to the store
 // as generation gen+1 under the CAS rule, and returns the generation
-// written. It runs on whichever goroutine holds the monitor: a worker for
-// periodic checkpoints, the dispatcher for the bye and drain ones.
+// written. It runs on the dispatcher, for the bye and drain checkpoints of
+// a settled object; a periodic checkpoint is split instead, encoded by the
+// job that holds the monitor and written by a saver.
 func (s *Server) save(obj *object, applied, gen uint64) (uint64, error) {
-	img, err := obj.inc.Checkpoint()
-	if err != nil {
-		return 0, err
-	}
-	payload, err := monitorapi.EncodeCheckpoint(&monitorapi.Checkpoint{
-		Version:    monitorapi.CheckpointVersion,
-		Tenant:     obj.tenant,
-		Object:     obj.name,
-		Model:      obj.model,
-		Config:     obj.cfg,
-		AppliedSeq: applied,
-		Monitor:    img,
-	})
+	payload, err := obj.encode(applied)
 	if err != nil {
 		return 0, err
 	}
 	return s.opts.Store.Save(obj.key, gen, payload)
+}
+
+// encode serialises o's monitor, applied through batch seq applied, as a
+// checkpoint payload. It runs on whichever goroutine holds the monitor.
+func (o *object) encode(applied uint64) ([]byte, error) {
+	img, err := o.inc.Checkpoint()
+	if err != nil {
+		return nil, err
+	}
+	return monitorapi.EncodeCheckpoint(&monitorapi.Checkpoint{
+		Version:    monitorapi.CheckpointVersion,
+		Tenant:     o.tenant,
+		Object:     o.name,
+		Model:      o.model,
+		Config:     o.cfg,
+		AppliedSeq: applied,
+		Monitor:    img,
+	})
 }
