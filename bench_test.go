@@ -337,7 +337,9 @@ func BenchmarkCheckerAllocs(b *testing.B) {
 //     model verified through one check.Shards pool (internal/soak B11Specs).
 //   - frontier/queue: the frontier axis — the multi-state-frontier stream of
 //     trace.FrontierRounds, where each reveal burst forces five expensive
-//     independent refutations that check.Config.Parallelism overlaps.
+//     independent refutations that check.Config.Parallelism overlaps. The
+//     fast tier is off, because it decides every burst of this stream and
+//     the leg measures the search.
 func BenchmarkParallelCheck(b *testing.B) {
 	for _, s := range soak.B11Specs() {
 		hs := s.Histories()
@@ -359,6 +361,7 @@ func BenchmarkParallelCheck(b *testing.B) {
 					Retain:      true,
 					Retention:   check.RetentionPolicy{GCBatch: 32},
 					Parallelism: workers,
+					NoFastTier:  true,
 				}))
 			for k, bu := range bursts {
 				if m.Append(bu) != check.Yes {

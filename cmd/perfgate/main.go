@@ -27,7 +27,7 @@
 //     ~2.5x the interned checker's measured 60–160, so only a real
 //     regression trips it. The frontier/queue leg (the backtracking and
 //     frontier-enumeration path: trace.FrontierRounds through a sequential
-//     retained monitor) fails CI above the B/op bound its workload carries
+//     retained monitor with the fast tier off) fails CI above the B/op bound its workload carries
 //     (soak.B10Workload.MaxBytes) — that is, if the pooled search arenas or
 //     the chain-level state arena stop being reused. It allocated 195 MB/op
 //     before they existed and 76 MB/op with them; the bound, 100 MiB, sits

@@ -403,6 +403,12 @@ func runDecoupled(m spec.Model, obj genlin.Object, mode impls.FaultMode, cfg dec
 		agg.Verify.Check.Fallbacks += st.Verify.Check.Fallbacks
 		agg.Verify.Check.FastTierHits += st.Verify.Check.FastTierHits
 		agg.Verify.Check.FastTierFallbacks += st.Verify.Check.FastTierFallbacks
+		ab, b := &agg.Verify.Check.TierAbstain, st.Verify.Check.TierAbstain
+		ab.Model += b.Model
+		ab.Duplicate += b.Duplicate
+		ab.PendingRemove += b.PendingRemove
+		ab.Residency += b.Residency
+		ab.NoPrefix += b.NoPrefix
 		agg.Verify.Check.Compactions += st.Verify.Check.Compactions
 		agg.Verify.Check.GCRuns += st.Verify.Check.GCRuns
 		agg.Verify.Check.DiscardedEvents += st.Verify.Check.DiscardedEvents
@@ -430,8 +436,10 @@ func runDecoupled(m spec.Model, obj genlin.Object, mode impls.FaultMode, cfg dec
 	fmt.Printf("pipeline: scans=%d passes=%d tuples=%d groups=%d rebuilds=%d segchecks=%d fallbacks=%d compactions=%d reports=%d\n",
 		agg.Scans, agg.Verify.Passes, agg.Verify.Tuples, agg.Verify.Groups, agg.Verify.Rebuilds,
 		agg.Verify.Check.SegChecks, agg.Verify.Check.Fallbacks, agg.Verify.Check.Compactions, agg.Reports)
-	fmt.Printf("fast tier: hits=%d fallbacks=%d (0/0 is expected with -fasttier=false or a model outside the tier's fragment)\n",
-		agg.Verify.Check.FastTierHits, agg.Verify.Check.FastTierFallbacks)
+	ab := agg.Verify.Check.TierAbstain
+	fmt.Printf("fast tier: hits=%d fallbacks=%d abstained: model=%d duplicate-value=%d pending-remove=%d residency=%d no-prefix=%d (0/0 is expected with -fasttier=false or a model outside the tier's fragment)\n",
+		agg.Verify.Check.FastTierHits, agg.Verify.Check.FastTierFallbacks,
+		ab.Model, ab.Duplicate, ab.PendingRemove, ab.Residency, ab.NoPrefix)
 	if cfg.monitor.Retain {
 		fmt.Printf("retention: gcruns=%d discarded-events=%d retained-events(last run)=%d discarded-tuples=%d retained-tuples(last run)=%d deferrals=%d released: result-nodes=%d ann-nodes=%d\n",
 			agg.Verify.Check.GCRuns, agg.Verify.Check.DiscardedEvents, agg.Verify.Check.RetainedEvents,

@@ -137,7 +137,8 @@ func pooledEquivStreams(m spec.Model, seed int64, procs, ops, burst int) [][]his
 // TestPooledScratchEquivalence is the deterministic tier-1 leg of
 // FuzzPooledScratchEquivalence: every model, retained (tight budgets, so
 // enumerations overflow mid-walk and hand back half-used arenas) and
-// full-witness, plus the frontier workload the pooling exists for.
+// full-witness, plus the frontier workload the pooling exists for (with the
+// fast tier off: the tier decides every burst of it, and no arena is drawn).
 func TestPooledScratchEquivalence(t *testing.T) {
 	retained := Config{Retain: true, Retention: RetentionPolicy{GCBatch: 8, StateBudget: 24, MaxFrontierStates: 3}}
 	for _, m := range fuzzModels() {
@@ -150,7 +151,7 @@ func TestPooledScratchEquivalence(t *testing.T) {
 		}
 	}
 	frontier := [][]history.History{trace.FrontierRounds(3, false), trace.FrontierRounds(3, true)}
-	runPooledEquiv(t, spec.Queue(), frontier, Config{Retain: true}, "frontier")
+	runPooledEquiv(t, spec.Queue(), frontier, Config{Retain: true, NoFastTier: true}, "frontier")
 }
 
 // FuzzPooledScratchEquivalence lets the native fuzzer pick the model, the
@@ -181,13 +182,14 @@ func FuzzPooledScratchEquivalence(f *testing.F) {
 // at any moment, each round handing six arenas back while the other shard
 // draws its own. An arena reachable from two searches at once is a data race
 // the detector reports; one that leaks state across searches breaks the
-// stats comparison against standalone monitors.
+// stats comparison against standalone monitors. The fast tier is off: it
+// decides every burst of this workload, and the searches are the subject.
 func TestShardsFrontierRace(t *testing.T) {
 	rounds := 6
 	if testing.Short() {
 		rounds = 3
 	}
-	cfg := Config{Retain: true}
+	cfg := Config{Retain: true, NoFastTier: true}
 	streams := [][]history.History{
 		trace.FrontierRounds(rounds, false), trace.FrontierRounds(rounds, true),
 		trace.FrontierRounds(rounds, true), trace.FrontierRounds(rounds, false),

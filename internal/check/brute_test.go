@@ -97,6 +97,11 @@ func randomGarbage(rng *rand.Rand, procs, nops int) history.History {
 // one collected by Key(). An unlinearizable h yields the empty set. Keep h at
 // seven operations or fewer.
 func bruteFinalStates(m spec.Model, h history.History) map[string]bool {
+	return bruteFinalStatesFrom(m.Init(), h)
+}
+
+// bruteFinalStatesFrom is bruteFinalStates from state init.
+func bruteFinalStatesFrom(init spec.State, h history.History) map[string]bool {
 	ops := h.Ops()
 	finals := map[string]bool{}
 	used := make([]bool, len(ops))
@@ -129,7 +134,7 @@ func bruteFinalStates(m spec.Model, h history.History) map[string]bool {
 			used[i] = false
 		}
 	}
-	walk(m.Init(), 0)
+	walk(init, 0)
 	return finals
 }
 
@@ -159,11 +164,33 @@ func checkFinalStatesBrute(t *testing.T, m spec.Model, h history.History, label 
 	}
 }
 
+// checkDrainedBrute holds the drained shortcut of enumerateFrontier to the
+// exhaustive reference: it splits the quiescent history h at a quiescent
+// moment (randomStart), and whenever the shortcut fires on the rest from the
+// prefix's state, the brute-force set from that state must be the empty
+// structure alone — or empty, when the rest does not linearize from it (a
+// cut never commits such a piece). It reports whether the shortcut fired.
+func checkDrainedBrute(t *testing.T, m spec.Model, h history.History, seed int64, label string) bool {
+	t.Helper()
+	st, piece := randomStart(m, h, seed)
+	inc := NewIncremental(m, WithConfig(Config{Retain: true}))
+	inc.frontier = []spec.State{st}
+	if !inc.drained(piece, []int{0}) {
+		return false
+	}
+	want := bruteFinalStatesFrom(st, piece)
+	if empty := m.Init().Key(); len(want) > 1 || len(want) == 1 && !want[empty] {
+		t.Fatalf("%s: drained shortcut fired from %s, brute force reaches %v\n%s", label, st.Key(), want, piece.String())
+	}
+	return true
+}
+
 // TestFinalStatesAgreesWithBruteForce pins the state set of the enumerate
 // mode, not just the verdicts built on it: over every model, on small
 // linearizable histories and mutated ones (whose set may be empty), the
 // enumeration returns exactly the final states of the legal orders.
 func TestFinalStatesAgreesWithBruteForce(t *testing.T) {
+	drained := 0
 	for _, m := range fuzzModels() {
 		for seed := int64(0); seed < 40; seed++ {
 			base := trace.RandomLinearizable(m, seed, 3, 7).Complete()
@@ -172,14 +199,22 @@ func TestFinalStatesAgreesWithBruteForce(t *testing.T) {
 				trace.Mutate(base, seed*7+1),
 				trace.Mutate(trace.Mutate(base, seed*11+2), seed*13+3),
 			} {
-				checkFinalStatesBrute(t, m, h, fmt.Sprintf("%s seed %d case %d", m.Name(), seed, ci))
+				label := fmt.Sprintf("%s seed %d case %d", m.Name(), seed, ci)
+				checkFinalStatesBrute(t, m, h, label)
+				if checkDrainedBrute(t, m, h, seed, label) {
+					drained++
+				}
 			}
 		}
+	}
+	if drained == 0 {
+		t.Fatal("the drained shortcut never fired across the sweep")
 	}
 }
 
 // FuzzFinalStatesBrute lets the native fuzzer pick the model, concurrency,
-// size and mutation of the history TestFinalStatesAgreesWithBruteForce checks.
+// size and mutation of the history TestFinalStatesAgreesWithBruteForce checks,
+// and the split its drained-shortcut check starts from.
 func FuzzFinalStatesBrute(f *testing.F) {
 	f.Add(uint8(0), uint8(3), uint8(7), int64(1), false)
 	f.Add(uint8(2), uint8(2), uint8(5), int64(9), true)
@@ -192,6 +227,7 @@ func FuzzFinalStatesBrute(f *testing.F) {
 			h = trace.Mutate(h, seed+1)
 		}
 		checkFinalStatesBrute(t, m, h, "fuzz")
+		checkDrainedBrute(t, m, h, seed, "fuzz")
 	})
 }
 

@@ -39,7 +39,7 @@ func outcomeStats(s IncStats, retain, refuted bool) IncStats {
 	if !retain {
 		s.SegChecks, s.SegYes, s.MaxSegment = 0, 0, 0
 		s.Fallbacks, s.Compactions = 0, 0
-		s.FastTierHits, s.FastTierFallbacks = 0, 0
+		s.FastTierHits, s.FastTierFallbacks, s.TierAbstain = 0, 0, TierAbstentions{}
 	}
 	if refuted {
 		s.RetainedEvents, s.FrontierStates = 0, 0

@@ -476,6 +476,17 @@ func TestFastTierCommitCutEquivalence(t *testing.T) {
 			hits += st.FastTierHits
 		}
 	}
+	// Never-quiescent streams, where commit cuts are the only cuts and the
+	// tier runs from the states they leave (procs >= 5 makes them several).
+	for _, m := range []spec.Model{spec.Queue(), spec.PQueue()} {
+		for seed := int64(1); seed <= 3; seed++ {
+			pol := RetentionPolicy{GCBatch: 4 * int(seed), CommitCuts: true}
+			h := trace.NeverQuiescent(m, seed*31, 5, 120)
+			st := runTierOnOff(t, m, splitBursts(h, 8*int(seed)), pol, m.Name()+" never-quiescent")
+			hits += st.FastTierHits
+			cuts += st.CommitCuts
+		}
+	}
 	if hits == 0 {
 		t.Fatal("the fast tier never decided a segment under commit cuts")
 	}

@@ -165,21 +165,136 @@ func flipBool(h history.History, seed int64) history.History {
 	return out
 }
 
+// prefixInserts mirrors, independently of loglin, how a state's resident
+// values are written as inserts: the insert method and the response it gives
+// on an absent value.
+var prefixInserts = map[string]struct {
+	method string
+	res    spec.Response
+}{
+	"queue":  {spec.MethodEnq, spec.OKResp()},
+	"stack":  {spec.MethodPush, spec.BoolResp(true)},
+	"set":    {spec.MethodAdd, spec.BoolResp(true)},
+	"pqueue": {spec.MethodInsert, spec.OKResp()},
+}
+
+// withPrefix returns h behind a sequential prefix of completed inserts of
+// vals, on a process and with ids h does not use: the history the tier
+// decides when it runs from the state whose resident values are vals.
+func withPrefix(m spec.Model, vals []int64, h history.History) history.History {
+	proc, id := 0, uint64(0)
+	for _, e := range h {
+		proc, id = max(proc, e.Proc+1), max(id, e.ID+1)
+	}
+	ins := prefixInserts[m.Name()]
+	out := make(history.History, 0, 2*len(vals)+len(h))
+	for i, v := range vals {
+		op := spec.Operation{Method: ins.method, Arg: v, Uniq: id + uint64(i)}
+		out = append(out,
+			history.Event{Kind: history.Invoke, Proc: proc, ID: op.Uniq, Op: op},
+			history.Event{Kind: history.Return, Proc: proc, ID: op.Uniq, Op: op, Res: ins.res})
+	}
+	return append(out, h...)
+}
+
+// linearizableFrom is the exact search's verdict on h from state st.
+func linearizableFrom(st spec.State, h history.History) bool {
+	s := newSegSearch(st, newSearchArena())
+	s.load(h)
+	return len(s.ar.ops) == 0 || s.Run()
+}
+
+// randomStart collapses a random completed prefix of h to one state: it cuts
+// h at a quiescent moment picked by seed, enumerates the prefix's reachable
+// final states, and picks one of them by seed too. It returns that state and
+// the rest of h, which is linearizable from at least one of the prefix's
+// states — so the tier meets states it must accept from and states it must
+// refute from. Without an interior quiescent moment the start is the
+// initial state and the whole of h.
+func randomStart(m spec.Model, h history.History, seed int64) (spec.State, history.History) {
+	var cuts []int
+	open := 0
+	for i, e := range h[:max(len(h)-1, 0)] {
+		if e.Kind == history.Invoke {
+			open++
+		} else {
+			open--
+		}
+		if open == 0 {
+			cuts = append(cuts, i+1)
+		}
+	}
+	if len(cuts) == 0 {
+		return m.Init(), h
+	}
+	pick := uint64(seed)
+	q := cuts[pick%uint64(len(cuts))]
+	finals, ok := newSearchArena().FinalStates(m.Init(), h[:q], 1<<16, 1<<10)
+	if !ok || len(finals) == 0 {
+		return m.Init(), h
+	}
+	return finals[(pick/3)%uint64(len(finals))], h[q:]
+}
+
+// diffFastTierFrom holds the tier run from state st (loglin.DecideFrom on
+// st's resident values) to the same contract as diffFastTier, against the
+// exact search from st. A decided input also checks the reduction itself:
+// the search from st and the search on h behind st's prefix of inserts must
+// agree. Like diffFastTier it searches only when the tier decided: the
+// ambiguous inputs are where the search's heavy tail lives.
+func diffFastTierFrom(t *testing.T, m spec.Model, st spec.State, h history.History, label string) {
+	t.Helper()
+	vals, ok := m.(spec.PerValueMatched).Resident(st)
+	if !ok {
+		t.Fatalf("%s (%s): no resident values for state %s", label, m.Name(), st.Key())
+	}
+	whole := withPrefix(m, vals, h)
+	r := loglin.DecideFrom(m, vals, h)
+	switch r.V {
+	case loglin.Ambiguous:
+		if !fastTierTrigger(m, whole) {
+			t.Fatalf("%s (%s): tier from %s fell back (%v) with no ambiguity trigger",
+				label, m.Name(), st.Key(), r.Trigger)
+		}
+	case loglin.Yes, loglin.No:
+		want := linearizableFrom(st, h)
+		if got := Linearizable(m, whole).Ok; got != want {
+			t.Fatalf("%s (%s): search from %s says %v, behind its prefix %v\nhistory: %v",
+				label, m.Name(), st.Key(), want, got, h)
+		}
+		if got := r.V == loglin.Yes; got != want {
+			t.Fatalf("%s (%s): tier from %s decided %v, Wing–Gong says Ok=%v\nhistory: %v",
+				label, m.Name(), st.Key(), r.V, want, h)
+		}
+	default:
+		t.Fatalf("%s (%s): tier returned invalid verdict %d", label, m.Name(), r.V)
+	}
+}
+
 // fastTierVariants exercises one generated history plus its adversarial
-// derivatives: a mutated (likely illegal) stream, a value-squashed stream
-// with duplicate inserts, and a boolean-flipped stream.
+// derivatives — a mutated (likely illegal) stream, a value-squashed stream
+// with duplicate inserts, and a boolean-flipped stream — from the initial
+// state, and the same derivatives of its suffix from a state its prefix
+// reaches (randomStart).
 func fastTierVariants(t *testing.T, m spec.Model, seed int64, procs, nops int) {
 	t.Helper()
+	variants := func(h history.History) []history.History {
+		return []history.History{h, trace.Mutate(h, seed+101), squashValues(h, 3+((seed%5)+5)%5), flipBool(h, seed+211)}
+	}
+	labels := []string{"generated", "mutated", "squashed", "flipped"}
 	h := trace.RandomLinearizable(m, seed, procs, nops)
-	diffFastTier(t, m, h, "generated")
-	diffFastTier(t, m, trace.Mutate(h, seed+101), "mutated")
-	diffFastTier(t, m, squashValues(h, 3+((seed%5)+5)%5), "squashed")
-	diffFastTier(t, m, flipBool(h, seed+211), "flipped")
+	for i, v := range variants(h) {
+		diffFastTier(t, m, v, labels[i])
+	}
+	st, seg := randomStart(m, h, seed)
+	for i, v := range variants(seg) {
+		diffFastTierFrom(t, m, st, v, labels[i]+" from state")
+	}
 }
 
 // TestFastTierDifferential is the deterministic tier-1 slice of the
 // differential fuzz surface: every supported model, a seed sweep, all
-// adversarial variants.
+// adversarial variants, from the initial and from a random start state.
 func TestFastTierDifferential(t *testing.T) {
 	for _, m := range []spec.Model{spec.Queue(), spec.Stack(), spec.Set(), spec.PQueue()} {
 		t.Run(m.Name(), func(t *testing.T) {

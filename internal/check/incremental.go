@@ -169,8 +169,9 @@ type IncStats struct {
 	SegExplored    int // configurations explored by committed segment-search runs
 	ParallelRounds int // fan-out rounds (segment checks + frontier enumerations) run on the pool
 
-	FastTierHits      int // segment checks decided by the log-linear tier
-	FastTierFallbacks int // tier runs after which the exact search still ran
+	FastTierHits      int             // segment checks decided by the log-linear tier
+	FastTierFallbacks int             // tier runs after which the exact search still ran
+	TierAbstain       TierAbstentions // the tier's abstentions, by reason
 
 	GCRuns            int   // garbage collections performed
 	DiscardedEvents   int   // events released by GC, cumulative
@@ -289,22 +290,24 @@ func (inc *Incremental) Append(delta history.History) Verdict {
 }
 
 // checkSegment decides whether the events after the cut linearize from some
-// frontier state, running each live state's pipeline (runState) in frontier
-// order up to the first witness. With Config.Parallelism and at least two live
-// frontier states the pipelines fan out across the worker pool
-// (checkSegmentParallel) and commit the same outcomes.
+// frontier state: the fast tier first (fastTierSegment), then each remaining
+// live state's search pipeline (runState) in frontier order up to the first
+// witness. With Config.Parallelism and at least two live frontier states the
+// pipelines fan out across the worker pool (checkSegmentParallel) and commit
+// the same outcomes.
 func (inc *Incremental) checkSegment() bool {
 	seg := inc.h[inc.cutIdx:]
 	inc.stats.SegChecks++
 	if len(seg) > inc.stats.MaxSegment {
 		inc.stats.MaxSegment = len(seg)
 	}
-	if decided, ok := inc.fastTierSegment(seg); decided {
+	decided, ok, from := inc.fastTierSegment(seg)
+	if decided {
 		return ok
 	}
 	if inc.workers > 1 {
-		live := make([]int, 0, len(inc.frontier))
-		for i := range inc.frontier {
+		live := make([]int, 0, len(inc.frontier)-from)
+		for i := from; i < len(inc.frontier); i++ {
 			if inc.dead == nil || !inc.dead[i] {
 				live = append(live, i)
 			}
@@ -313,7 +316,7 @@ func (inc *Incremental) checkSegment() bool {
 			return inc.checkSegmentParallel(seg, live)
 		}
 	}
-	for i := range inc.frontier {
+	for i := from; i < len(inc.frontier); i++ {
 		if inc.dead != nil && inc.dead[i] {
 			continue
 		}
@@ -497,6 +500,11 @@ func (inc *Incremental) compactTo(end int) {
 // prefix of the segment, which the dead state may still linearize — its
 // reachable states belong in the exact set (the refutation only constrains
 // what the suffix can extend).
+//
+// A drained piece (see drained) needs no enumeration at all: its exact set
+// is the empty structure alone. The set cannot be empty instead, because a
+// cut is committed only after the segment check accepted, so some state
+// enumerated here linearizes the piece.
 func (inc *Incremental) enumerateFrontier(piece history.History, wholeSegment bool) ([]spec.State, bool) {
 	budget := inc.policy.StateBudget
 	idxs := make([]int, 0, len(inc.frontier))
@@ -505,6 +513,9 @@ func (inc *Incremental) enumerateFrontier(piece history.History, wholeSegment bo
 			continue
 		}
 		idxs = append(idxs, i)
+	}
+	if inc.drained(piece, idxs) {
+		return []spec.State{inc.model.Init()}, true
 	}
 	// With several states to enumerate, fan the (independent) enumerations
 	// out across the pool; each worker detaches its state so no chain is
@@ -560,6 +571,44 @@ func (inc *Incremental) enumerateFrontier(piece history.History, wholeSegment bo
 		}
 	}
 	return next, true
+}
+
+// drained reports whether every linearization of piece from every frontier
+// state in idxs ends with the structure empty. For a per-value model the
+// size a linearization ends at is fixed by the events: the state's size,
+// plus one per completed insert, minus one per completed value-returning
+// removal. (A set Add answering false inserts nothing, so for the set the
+// sum is an upper bound, and 0 still forces empty.) piece must be complete —
+// a pending operation may or may not take effect — so one that is not never
+// counts as drained.
+func (inc *Incremental) drained(piece history.History, idxs []int) bool {
+	pv, ok := inc.model.(spec.PerValueMatched)
+	if !ok || len(idxs) == 0 {
+		return false
+	}
+	size, open := 0, 0
+	for _, e := range piece {
+		if e.Kind == history.Invoke {
+			open++
+			continue
+		}
+		open--
+		if _, ins := pv.InsertValue(e.Op); ins {
+			size++
+		} else if _, rem := pv.RemoveValue(e.Op, e.Res); rem {
+			size--
+		}
+	}
+	if open != 0 {
+		return false
+	}
+	for _, i := range idxs {
+		vals, ok := pv.Resident(inc.frontier[i])
+		if !ok || len(vals)+size != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // installFrontier commits the frontier at cut with the given exact state

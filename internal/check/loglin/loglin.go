@@ -146,11 +146,63 @@ const inf = int(^uint(0)>>1) / 4
 // Yes or No only when the history lies in the decidable fragment, and
 // Ambiguous (with the trigger) otherwise.
 func Decide(m spec.Model, h history.History) Result {
+	return decideOps(m, h.Ops())
+}
+
+// DecideFrom runs the tier on h from the state whose values, in insert
+// order, are resident (spec.PerValueMatched.Resident) instead of from m's
+// initial state. It decides h behind a sequential prefix of completed
+// inserts of those values: every prefix insert returns before the first
+// event of h, so every linearization of the whole starts with the prefix in
+// order and reaches exactly that state, and the whole is linearizable iff h
+// is linearizable from the state. The reduction adds nothing to the
+// fragment: a resident value inserted again in h is a duplicate, and (stack)
+// a resident value popped in h has a forced residency, so both abstain
+// through the usual triggers.
+func DecideFrom(m spec.Model, resident []int64, h history.History) Result {
+	if len(resident) == 0 {
+		return Decide(m, h)
+	}
+	ins, ok := inserts[m.Name()]
+	if !ok {
+		return Result{V: Ambiguous, Trigger: TriggerModel}
+	}
+	seg := h.Ops()
+	k := len(resident)
+	ops := make([]history.Op, k, k+len(seg))
+	for i, v := range resident {
+		ops[i] = history.Op{Proc: -1, Op: spec.Operation{Method: ins.method, Arg: v},
+			Res: ins.res, InvIdx: 2 * i, RetIdx: 2*i + 1, Complete: true}
+	}
+	for _, o := range seg {
+		o.InvIdx += 2 * k
+		if o.Complete {
+			o.RetIdx += 2 * k
+		}
+		ops = append(ops, o)
+	}
+	return decideOps(m, ops)
+}
+
+// inserts maps each model the tier decides to its insert method and the
+// response that insert gives on a value not yet present: the operations
+// DecideFrom writes a state's resident values as.
+var inserts = map[string]struct {
+	method string
+	res    spec.Response
+}{
+	"queue":  {spec.MethodEnq, spec.OKResp()},
+	"stack":  {spec.MethodPush, spec.BoolResp(true)},
+	"set":    {spec.MethodAdd, spec.BoolResp(true)},
+	"pqueue": {spec.MethodInsert, spec.OKResp()},
+}
+
+// decideOps is Decide on h's operations, in invocation order.
+func decideOps(m spec.Model, ops []history.Op) Result {
 	pv, ok := m.(spec.PerValueMatched)
 	if !ok {
 		return Result{V: Ambiguous, Trigger: TriggerModel}
 	}
-	ops := h.Ops()
 	var c counters
 	var r Result
 	switch m.Name() {
@@ -174,11 +226,8 @@ func Supported(m spec.Model) bool {
 	if _, ok := m.(spec.PerValueMatched); !ok {
 		return false
 	}
-	switch m.Name() {
-	case "queue", "stack", "set", "pqueue":
-		return true
-	}
-	return false
+	_, ok := inserts[m.Name()]
+	return ok
 }
 
 // counters accumulates the two instrumentation counts.

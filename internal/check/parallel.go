@@ -403,6 +403,7 @@ func (a *IncStats) add(b IncStats) {
 	a.ParallelRounds += b.ParallelRounds
 	a.FastTierHits += b.FastTierHits
 	a.FastTierFallbacks += b.FastTierFallbacks
+	a.TierAbstain.add(b.TierAbstain)
 	a.GCRuns += b.GCRuns
 	a.DiscardedEvents += b.DiscardedEvents
 	a.FrontierOverflows += b.FrontierOverflows

@@ -105,11 +105,13 @@ func TestParallelFrontierEquivalence(t *testing.T) {
 // TestFrontierWorkloadShape pins the properties the B11 frontier family and
 // the tests above rely on: each ambiguity burst leaves six live frontier
 // states, each reveal burst collapses them back to one and garbage-collects,
-// and the parallel engine actually fans out (ParallelRounds advances).
+// and the parallel engine actually fans out (ParallelRounds advances). The
+// search is the subject, so the fast tier — which decides every burst of
+// this workload (TestFrontierWorkloadTier) — is off.
 func TestFrontierWorkloadShape(t *testing.T) {
 	pol := RetentionPolicy{GCBatch: 32}
-	seq := NewIncremental(spec.Queue(), WithConfig(Config{Retain: true, Retention: pol}))
-	par := NewIncremental(spec.Queue(), WithConfig(Config{Retain: true, Retention: pol, Parallelism: 4}))
+	seq := NewIncremental(spec.Queue(), WithConfig(Config{Retain: true, Retention: pol, NoFastTier: true}))
+	par := NewIncremental(spec.Queue(), WithConfig(Config{Retain: true, Retention: pol, Parallelism: 4, NoFastTier: true}))
 	bursts := trace.FrontierRounds(3, false)
 	for k, b := range bursts {
 		if seq.Append(b) != Yes || par.Append(b) != Yes {
@@ -138,6 +140,33 @@ func TestFrontierWorkloadShape(t *testing.T) {
 	}
 	if seq.Stats().SegExplored == 0 {
 		t.Fatal("SegExplored never advanced; refutations did not search")
+	}
+}
+
+// TestFrontierWorkloadTier: with the fast tier on, the tier decides every
+// burst of the frontier workload in both reveal orders — from the one empty
+// state after a reveal, and from each of the six states an ambiguity burst
+// leaves — so the search never runs, and the frontier keeps its 6/1 shape.
+func TestFrontierWorkloadTier(t *testing.T) {
+	for _, revealFirst := range []bool{false, true} {
+		inc := NewIncremental(spec.Queue(), WithConfig(Config{Retain: true, Retention: RetentionPolicy{GCBatch: 32}}))
+		for k, b := range trace.FrontierRounds(3, revealFirst) {
+			if inc.Append(b) != Yes {
+				t.Fatalf("revealFirst=%v burst %d: correct stream refuted", revealFirst, k)
+			}
+			want := 6
+			if k%2 == 1 {
+				want = 1
+			}
+			if got := inc.FrontierSize(); got != want {
+				t.Fatalf("revealFirst=%v burst %d: frontier size %d, want %d", revealFirst, k, got, want)
+			}
+		}
+		st := inc.Stats()
+		if st.SegExplored != 0 || st.FastTierHits != st.Appends || st.FastTierFallbacks != 0 {
+			t.Fatalf("revealFirst=%v: tier left bursts to the search: explored=%d hits=%d appends=%d fallbacks=%d",
+				revealFirst, st.SegExplored, st.FastTierHits, st.Appends, st.FastTierFallbacks)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -392,7 +393,7 @@ func TestRetentionOverflowRecovers(t *testing.T) {
 // bit-identical: a tier answer leaves retention and commit-cut bookkeeping
 // exactly as if the tier never existed.
 func normTierStats(s IncStats) IncStats {
-	s.FastTierHits, s.FastTierFallbacks = 0, 0
+	s.FastTierHits, s.FastTierFallbacks, s.TierAbstain = 0, 0, TierAbstentions{}
 	s.SearchResumes, s.SearchRebuilds, s.SegExplored = 0, 0, 0
 	s.ParallelRounds = 0
 	return s
@@ -460,5 +461,11 @@ func TestFastTierRetentionEquivalence(t *testing.T) {
 	}
 	if hits == 0 {
 		t.Fatal("the fast tier never decided a segment across the whole sweep")
+	}
+	// The frontier workload, in both reveal orders: six live states after
+	// every ambiguity burst, five of which the tier must refute.
+	for _, revealFirst := range []bool{false, true} {
+		runTierOnOff(t, spec.Queue(), trace.FrontierRounds(4, revealFirst), RetentionPolicy{GCBatch: 32},
+			fmt.Sprintf("frontier revealFirst=%v", revealFirst))
 	}
 }

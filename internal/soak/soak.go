@@ -310,10 +310,11 @@ const b10FrontierMaxBytes = 100 << 20
 //     linearizable history under a fixed seed. The witness is found greedily,
 //     so this is the no-backtrack path.
 //   - frontier/queue: trace.FrontierRounds (late reveal order) through a
-//     fresh sequential check.Incremental under Config{Retain: true} — every
-//     round enumerates a 6-state frontier and exhausts five refuting searches,
-//     so this is the backtracking and enumeration path the dense legs never
-//     reach.
+//     fresh sequential check.Incremental under Config{Retain: true,
+//     NoFastTier: true} — every round enumerates a 6-state frontier and
+//     exhausts five refuting searches, so this is the backtracking and
+//     enumeration path the dense legs never reach. The fast tier would
+//     decide every burst of this stream without a search, so it is off.
 func B10Workloads() []B10Workload {
 	var ws []B10Workload
 	for _, d := range []struct {
@@ -334,7 +335,7 @@ func B10Workloads() []B10Workload {
 	ws = append(ws, B10Workload{
 		Name: "frontier/queue", Model: spec.Queue(), Ops: ops, MaxBytes: b10FrontierMaxBytes,
 		Check: func() bool {
-			inc := check.NewIncremental(spec.Queue(), check.WithConfig(check.Config{Retain: true}))
+			inc := check.NewIncremental(spec.Queue(), check.WithConfig(check.Config{Retain: true, NoFastTier: true}))
 			for _, b := range bursts {
 				if inc.Append(b) != check.Yes {
 					return false

@@ -96,3 +96,49 @@ func TestStateCodecRejects(t *testing.T) {
 		}
 	}
 }
+
+// TestResidentReplays: inserting a state's Resident values one after another
+// into Init reaches that state, for every state a random legal walk of a
+// per-value model reaches; another model's state has no resident values;
+// and appending to the returned slice leaves the states sharing its backing
+// untouched.
+func TestResidentReplays(t *testing.T) {
+	insert := map[string]string{"queue": MethodEnq, "stack": MethodPush, "set": MethodAdd, "pqueue": MethodInsert}
+	rng := rand.New(rand.NewSource(3))
+	for _, m := range []Model{Queue(), Stack(), Set(), PQueue()} {
+		pv := m.(PerValueMatched)
+		if _, ok := pv.Resident(Counter().Init()); ok {
+			t.Fatalf("%s: Resident accepted a counter state", m.Name())
+		}
+		for walk := 0; walk < 20; walk++ {
+			st := m.Init()
+			for step := 0; step < 30; step++ {
+				next, _, ok := st.Apply(codecOp(m, rng))
+				if !ok {
+					t.Fatalf("%s: random walk op rejected", m.Name())
+				}
+				st = next
+				vals, ok := pv.Resident(st)
+				if !ok {
+					t.Fatalf("%s: no resident values for %s", m.Name(), st.Key())
+				}
+				key := st.Key()
+				// The child extends st's backing in place; an append through
+				// an uncapped slice would overwrite its new value.
+				child, _, _ := st.Apply(Operation{Method: insert[m.Name()], Arg: 1000})
+				childKey := child.Key()
+				_ = append(vals, 99)
+				if child.Key() != childKey {
+					t.Fatalf("%s: appending to Resident's slice changed %s to %s", m.Name(), childKey, child.Key())
+				}
+				re := m.Init()
+				for _, v := range vals {
+					re, _, _ = re.Apply(Operation{Method: insert[m.Name()], Arg: v})
+				}
+				if !re.(Fingerprinted).EqualState(st) {
+					t.Fatalf("%s: inserting Resident %v reaches %s, want %s", m.Name(), vals, re.Key(), key)
+				}
+			}
+		}
+	}
+}

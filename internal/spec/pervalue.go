@@ -31,7 +31,11 @@ package spec
 //     structure empty — the responses whose linearization points must land
 //     at a moment with no resident value (queue/stack/pqueue "empty"). The
 //     set's Remove(v)=false observes only v's absence, not global emptiness,
-//     so the set never reports true.
+//     so the set never reports true;
+//   - Resident lists a state's values in insert order, so inserting them one
+//     after another into Init reaches that state: a frontier state is then
+//     the same thing as a sequential, completed prefix of inserts, which is
+//     how internal/check runs the log-linear tier from any state.
 type PerValueMatched interface {
 	Model
 
@@ -47,6 +51,31 @@ type PerValueMatched interface {
 	// RemovedEmpty reports whether a completed operation observed the whole
 	// structure empty.
 	RemovedEmpty(op Operation, res Response) bool
+
+	// Resident reports the values resident in st in insert order: front to
+	// back for the queue, bottom to top for the stack, and any order for the
+	// set and the priority queue, whose states do not depend on it. ok is
+	// false when st is not a state of this model. The slice aliases st and
+	// must not be modified.
+	Resident(st State) (vals []int64, ok bool)
+}
+
+// Resident is implemented once, on the window states all four models share:
+// each window already holds its values in insert order (the set and the
+// priority queue keep theirs sorted, which is one valid order).
+
+func (queueModel) Resident(st State) ([]int64, bool)  { return resident(st, seqQueue) }
+func (stackModel) Resident(st State) ([]int64, bool)  { return resident(st, seqStack) }
+func (setModel) Resident(st State) ([]int64, bool)    { return resident(st, seqSet) }
+func (pqueueModel) Resident(st State) ([]int64, bool) { return resident(st, seqPQueue) }
+
+func resident(st State, k seqKind) ([]int64, bool) {
+	s, ok := st.(*seqState)
+	if !ok || s.kind != k {
+		return nil, false
+	}
+	w := s.window()
+	return w[:len(w):len(w)], true // capped: an append must not reach the shared backing
 }
 
 // Queue: Enq inserts; Deq removes the value it returns, or observes
