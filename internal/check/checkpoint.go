@@ -152,7 +152,8 @@ func (inc *Incremental) Model() spec.Model { return inc.model }
 
 // Checkpoint exports the monitor's complete resume state. The image shares
 // nothing with the monitor (all slices are fresh, states are encoded), so it
-// stays valid however the monitor moves on. The only unsupported monitors are
+// stays valid however the monitor moves on. A parked monitor is encoded from
+// its parked form and stays parked. The only unsupported monitors are
 // those whose model cannot be recovered by name (spec.ByName) — restore could
 // never rebuild them.
 func (inc *Incremental) Checkpoint() (*MonitorImage, error) {
@@ -164,18 +165,22 @@ func (inc *Incremental) Checkpoint() (*MonitorImage, error) {
 		Version:     MonitorImageVersion,
 		Model:       name,
 		Config:      inc.cfg,
-		Window:      encodeEvents(inc.h),
+		Window:      encodeEvents(inc.History()),
 		HBase:       inc.hBase,
 		CutIdx:      inc.cutIdx,
 		Cuts:        append([]int(nil), inc.cuts...),
-		Frontier:    encodeStates(inc.frontier),
 		RespDropped: inc.respDropped,
 		InvDropped:  append([]int(nil), inc.invDropped...),
 		Verdict:     int8(inc.verdict),
 		Stats:       inc.stats,
 	}
-	if inc.base != nil {
-		img.Base = encodeStates(inc.base)
+	if p := inc.parked; p != nil {
+		img.Frontier, img.Base = slices.Clone(p.frontier), slices.Clone(p.base)
+	} else {
+		img.Frontier = encodeStates(inc.frontier)
+		if inc.base != nil {
+			img.Base = encodeStates(inc.base)
+		}
 	}
 	if inc.dead != nil {
 		img.Dead = append([]bool(nil), inc.dead...)
@@ -490,44 +495,4 @@ func restorePlanner(pl *cutPlanner, img *PlannerImage) error {
 	}
 	pl.lastPos = img.LastPos
 	return nil
-}
-
-// Park shrinks an idle monitor to what a checkpoint image holds: the monitor
-// afterwards behaves exactly like RestoreIncremental(inc.Checkpoint()) — same
-// verdicts and the same IncStats under every future Append — and its image is
-// unchanged. What it drops is what restore rebuilds:
-//
-//   - the persistent segment searches, whose arenas go back to the pool (a
-//     Shards' shared one); the next segment check rebuilds each search over
-//     the current segment, as after a restore;
-//   - pendingOp and seenIDs, which the next non-empty Append re-derives from
-//     the window (ensureOpenOps);
-//   - the spare capacity of the window and the quiescent-boundary queue;
-//   - the state chains the segment searches grew from the frontier states,
-//     which are replaced by spec.Detach copies, so the chains' arena chunks
-//     and successor caches become garbage. The GC base is never a search
-//     root (window reloads start from detached copies of it), so it has no
-//     chain to drop.
-//
-// The monitoring service parks an object's monitor when its session says
-// bye. The object is not ended — a reopen appends to it as before.
-func (inc *Incremental) Park() {
-	inc.releaseSearches()
-	clear(inc.searches)
-	inc.pendingOp, inc.seenIDs = nil, nil
-	inc.h = slices.Clone(inc.h)
-	inc.cuts = slices.Clone(inc.cuts)
-	inc.frontier = detachStates(inc.frontier)
-}
-
-// ensureOpenOps rebuilds pendingOp and seenIDs after Park. The window of a
-// Yes monitor is well-formed by construction (admit accepted every event of
-// it), so a replay conflict here is a broken invariant, not bad input.
-func (inc *Incremental) ensureOpenOps() {
-	if inc.pendingOp != nil {
-		return
-	}
-	if err := inc.deriveOpenOps(); err != nil {
-		panic("check: parked window fails replay: " + err.Error())
-	}
 }

@@ -82,6 +82,8 @@ type Incremental struct {
 	pendingOp map[int]uint64 // proc -> id of its open invocation; nil while parked
 	seenIDs   map[uint64]struct{}
 
+	parked *parkedMonitor // non-nil while parked: h, frontier and base are packed here (park.go)
+
 	verdict Verdict
 	err     error // non-nil once a delta made the history ill-formed
 	stats   IncStats
@@ -239,7 +241,8 @@ func (inc *Incremental) Append(delta history.History) Verdict {
 		// Prefix-closure: skip all checking. The full-witness mode keeps the
 		// events (History stays the whole witness); retention freezes the
 		// window at the violation so memory stays bounded.
-		if !inc.retain {
+		if !inc.retain && len(delta) > 0 {
+			inc.unpark()
 			inc.h = append(inc.h, delta...)
 			inc.gauges()
 		}
@@ -251,6 +254,7 @@ func (inc *Incremental) Append(delta history.History) Verdict {
 		inc.stats.CachedNoOps++
 		return inc.verdict
 	}
+	inc.unpark()
 	inc.ensureOpenOps()
 	for i, e := range delta {
 		if err := inc.admit(e); err != nil {
@@ -796,6 +800,7 @@ func (inc *Incremental) reload(h history.History, frontier []spec.State) bool {
 // cumulative over the monitor's lifetime, so pipeline totals survive reloads
 // (Resets counts them; Events counts reloaded events again).
 func (inc *Incremental) ReloadWindow(h history.History) Verdict {
+	inc.unpark()
 	if !inc.retain || inc.hBase == 0 {
 		return inc.reset(h)
 	}
@@ -823,8 +828,14 @@ func (inc *Incremental) Verdict() Verdict { return inc.verdict }
 // is the whole history — the violation witness once the verdict is No. Under
 // retention it is only the window since the GC horizon (Discarded says
 // how much is gone); on a violation the window is frozen as the witness.
-// Callers must not modify it.
-func (inc *Incremental) History() history.History { return inc.h }
+// Callers must not modify it. A parked monitor returns a fresh copy decoded
+// from its parked window and stays parked.
+func (inc *Incremental) History() history.History {
+	if p := inc.parked; p != nil {
+		return unpackEvents(p.window, p.events)
+	}
+	return inc.h
+}
 
 // Discarded returns the number of events garbage-collected so far; the
 // retained window starts that many events into the monitored history. Under
@@ -853,7 +864,12 @@ func (inc *Incremental) DiscardedInvocations() []int { return inc.invDropped }
 
 // FrontierSize returns the current number of states summarising the
 // committed prefix.
-func (inc *Incremental) FrontierSize() int { return len(inc.frontier) }
+func (inc *Incremental) FrontierSize() int {
+	if p := inc.parked; p != nil {
+		return len(p.frontier)
+	}
+	return len(inc.frontier)
+}
 
 // Err reports why the history became ill-formed, if it did.
 func (inc *Incremental) Err() error { return inc.err }

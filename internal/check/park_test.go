@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/history"
@@ -39,9 +40,13 @@ type parkCase struct {
 
 // checkParkResume drives three monitors over deltas: ref uninterrupted, and
 // parked, which Park shrinks before delta cut while restored is rebuilt there
-// from its checkpoint image. The image must not change across Park; from the
-// park on, parked and restored must agree on every verdict and on IncStats
-// exactly, and both must agree with ref's verdicts.
+// from its checkpoint image. Right after Park, before any Append, the parked
+// form must answer for the window and the frontier: the image, History event
+// for event and FrontierSize must not change across Park, and reading them
+// must leave the monitor parked. From the park on, parked and restored must
+// agree on every verdict and on IncStats exactly, and both must agree with
+// ref's verdicts. At the end parked is parked once more and both reload
+// their window.
 func checkParkResume(t *testing.T, m spec.Model, cfg Config, deltas []history.History, cut int) parkCase {
 	t.Helper()
 	ref := NewIncremental(m, WithConfig(cfg))
@@ -53,9 +58,20 @@ func checkParkResume(t *testing.T, m spec.Model, cfg Config, deltas []history.Hi
 		pc.pending = len(parked.pendingOp) > 0
 		restored = roundTripImage(t, parked)
 		before := imageBytes(t, parked)
+		window := slices.Clone(parked.History())
+		size := parked.FrontierSize()
 		parked.Park()
 		if after := imageBytes(t, parked); !bytes.Equal(before, after) {
 			t.Fatalf("%s: Park changed the checkpoint image:\n%s\nvs\n%s", m.Name(), before, after)
+		}
+		if got := parked.History(); !slices.Equal(got, window) {
+			t.Fatalf("%s: History after Park\n%v\nwant\n%v", m.Name(), got, window)
+		}
+		if got := parked.FrontierSize(); got != size {
+			t.Fatalf("%s: FrontierSize %d after Park, %d before", m.Name(), got, size)
+		}
+		if parked.parked == nil {
+			t.Fatalf("%s: reading a parked monitor unpacked it", m.Name())
 		}
 		if parked.Stats() != restored.Stats() {
 			t.Fatalf("%s: stats at park\nparked:   %+v\nrestored: %+v", m.Name(), parked.Stats(), restored.Stats())
@@ -85,6 +101,16 @@ func checkParkResume(t *testing.T, m spec.Model, cfg Config, deltas []history.Hi
 	}
 	if (parked.Err() != nil) != (ref.Err() != nil) {
 		t.Fatalf("%s park at %d: error %v, uninterrupted %v", m.Name(), cut, parked.Err(), ref.Err())
+	}
+	// A window reload unpacks too: parked again, reloading its own window
+	// must answer as the restored monitor does.
+	parked.Park()
+	window := parked.History()
+	if got, want := parked.ReloadWindow(window), restored.ReloadWindow(window); got != want {
+		t.Fatalf("%s park at %d: reload verdict %v, restored %v", m.Name(), cut, got, want)
+	}
+	if ps, rs := parked.Stats(), restored.Stats(); ps != rs {
+		t.Fatalf("%s park at %d: stats diverge after reload\nparked:   %+v\nrestored: %+v", m.Name(), cut, ps, rs)
 	}
 	return pc
 }
@@ -118,6 +144,95 @@ func TestParkMatchesRestore(t *testing.T) {
 	// The sweep must actually reach the two edge cases it promises.
 	if sticky == 0 || pending == 0 {
 		t.Fatalf("sweep parked %d refuted monitors and %d with an open operation; want both > 0", sticky, pending)
+	}
+
+	// The row for the packed window's codec: a method outside spec's
+	// constants, negative arguments and values, Uniq unlike ID, and ids at
+	// both ends of uint64. Parked at every delta, in every configuration;
+	// the clean stream stays Yes (the foreign operation never returns, so
+	// a linearization may omit it), the refuted one turns No when it does.
+	reg, _ := spec.ByName("register")
+	for _, refuted := range []bool{false, true} {
+		deltas := codecEdgeStream(refuted)
+		probe := NewIncremental(reg, WithConfig(Config{Retain: true, Retention: RetentionPolicy{GCBatch: 8}}))
+		var v Verdict
+		for _, d := range deltas {
+			v = probe.Append(d)
+		}
+		want := Yes
+		if refuted {
+			want = No
+		}
+		if v != want || probe.Discarded() == 0 {
+			t.Fatalf("codec row (refuted %v): verdict %v, %d events collected; want the verdict to follow refuted and a collection",
+				refuted, v, probe.Discarded())
+		}
+		for _, cfg := range ckptConfigs() {
+			for cut := 0; cut <= len(deltas); cut++ {
+				checkParkResume(t, reg, cfg, deltas, cut)
+			}
+		}
+	}
+}
+
+// codecEdgeStream is a register stream, one or two events per delta, whose
+// events stress every field of the parked window's codec. Writes and reads
+// alternate on processes 0 and 1 with quiescent moments between them, so
+// retention collects past ids near 2^64; process 2 then invokes "Frob", a
+// method no model knows, which returns only when refuted is set, after
+// which the history is no longer linearizable.
+func codecEdgeStream(refuted bool) []history.History {
+	const top = ^uint64(0)
+	inv := func(proc int, id uint64, method string, arg int64, uniq uint64) history.Event {
+		return history.Event{Kind: history.Invoke, Proc: proc, ID: id, Op: spec.Operation{Method: method, Arg: arg, Uniq: uniq}}
+	}
+	ret := func(e history.Event, res spec.Response) history.Event {
+		e.Kind, e.Res = history.Return, res
+		return e
+	}
+	var deltas []history.History
+	vals := []int64{-5, -1 << 62, 1<<63 - 1, -1 << 63, -7, 3, -2, 0, -9, 12}
+	for i, v := range vals {
+		id := top - uint64(3*len(vals)) + uint64(3*i)
+		w := inv(0, id, spec.MethodWrite, v, id^0x5a5a)
+		r := inv(1, id+1, spec.MethodRead, 0, uint64(i))
+		deltas = append(deltas,
+			history.History{w, r},
+			history.History{ret(w, spec.OKResp())},
+			history.History{ret(r, spec.ValueResp(v))})
+	}
+	frob := inv(2, 7, "Frob", -3, top)
+	w := inv(0, 2, spec.MethodWrite, -11, top-1)
+	r := inv(1, top, spec.MethodRead, 0, 9)
+	deltas = append(deltas,
+		history.History{frob, w},
+		history.History{ret(w, spec.OKResp()), r},
+		history.History{ret(r, spec.ValueResp(-11))})
+	if refuted {
+		deltas = append(deltas, history.History{ret(frob, spec.ValueResp(-4))})
+	}
+	return deltas
+}
+
+// unnamedCounter is the counter under a name spec.ByName does not know, so
+// neither Checkpoint nor Park supports it.
+type unnamedCounter struct{ spec.Model }
+
+func (unnamedCounter) Name() string { return "unnamed-counter" }
+
+// TestParkNeedsRestorableModel: Park leaves a monitor whose model restore
+// could not rebuild as it is, and the monitor goes on answering.
+func TestParkNeedsRestorableModel(t *testing.T) {
+	inc := NewIncremental(unnamedCounter{spec.Counter()})
+	deltas := chunks(trace.RandomLinearizable(spec.Counter(), 3, 3, 30), rand.New(rand.NewSource(5)))
+	for i, d := range deltas {
+		inc.Park()
+		if inc.parked != nil || inc.h == nil && i > 0 {
+			t.Fatalf("delta %d: Park packed a monitor of a model spec.ByName does not know", i)
+		}
+		if v := inc.Append(d); v != Yes {
+			t.Fatalf("delta %d: verdict %v on a linearizable history", i, v)
+		}
 	}
 }
 
@@ -176,15 +291,17 @@ func liveHeap() uint64 {
 	return ms.HeapAlloc
 }
 
-// TestParkedFootprint: a parked short-lived object costs what its window and
-// frontier cost, not what its search grew. 2 000 objects_churn-style
-// monitors, parked as the service parks them on bye, hold at most 12 kB of
-// live heap each.
+// TestParkedFootprint: a parked short-lived object costs what its packed
+// window and encoded frontier cost, not what its search grew nor 72 B per
+// event. 2 000 objects_churn-style monitors, parked as the service parks
+// them on bye, hold at most 3 kB of live heap each (about 1.6 kB measured;
+// 7.1 kB when Park kept the window as events and the frontier as detached
+// states).
 func TestParkedFootprint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds 2000 monitors")
 	}
-	const n, budget = 2000, 12 << 10
+	const n, budget = 2000, 3 << 10
 	before := liveHeap()
 	s := churnShards(n)
 	for i := 0; i < s.Len(); i++ {

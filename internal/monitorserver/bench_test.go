@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/check"
 	"repro/internal/ckpt"
+	"repro/internal/history"
 	"repro/internal/monitorclient"
 	"repro/internal/monitorserver"
 	"repro/internal/spec"
@@ -167,4 +168,44 @@ func BenchmarkLoopbackDurable(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
+}
+
+// BenchmarkLoopbackChurn is objects_churn in miniature: one iteration is one
+// short session on a fresh object over its own TCP connection — dial, open
+// with the zero Config, three 32-event batches of a width-2 queue history,
+// bye and its stats frame. B/op and allocs/op count both ends of the
+// connection; what the server spends per session beyond its monitor is the
+// connection's reader, writer and buffers.
+func BenchmarkLoopbackChurn(b *testing.B) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := monitorserver.Serve(ln, monitorserver.Options{
+		Logf:       func(string, ...any) {},
+		GaugeEvery: -1,
+	})
+	defer srv.Close()
+
+	m, _ := spec.ByName("queue")
+	streams := make([][]history.History, 16)
+	for i := range streams {
+		streams[i] = batches(trace.RandomLinearizable(m, int64(i)+1, 2, 96), 32)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sess, err := monitorclient.Dial(srv.Addr().String(), "bench", fmt.Sprintf("o%d", i), "queue")
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, batch := range streams[i%len(streams)] {
+			if err := sess.Send(batch); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if _, err := sess.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

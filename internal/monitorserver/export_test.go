@@ -14,3 +14,11 @@ func SetJobHook(t *testing.T, hook func(object string)) {
 	jobHook = hook
 	t.Cleanup(func() { jobHook = nil })
 }
+
+// SetParkHook makes the dispatcher run hook, with the object's name, after
+// every park of an object's monitor, until t ends. Set it before Serve: the
+// dispatcher reads it unlocked.
+func SetParkHook(t *testing.T, hook func(object string)) {
+	parkHook = hook
+	t.Cleanup(func() { parkHook = nil })
+}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -92,6 +93,121 @@ func enq(v int64) []history.WireEvent {
 	return []history.WireEvent{
 		{Kind: "inv", Proc: 1, ID: uint64(v), Op: "Enq", Arg: v},
 		{Kind: "ret", Proc: 1, ID: uint64(v), Op: "Enq", Arg: v, Res: "ok"},
+	}
+}
+
+// TestAbandonedObjectParks: a session that drops its connection without a
+// bye leaves its object parked once the object settles, and a reconnect
+// resumes the parked monitor: hello.acked counts every batch of the dropped
+// session, and the reopened stream's acks and stats carry the verdicts of an
+// uninterrupted reference monitor. A dequeue is open across the drop, so the
+// resumed monitor must re-derive its open operation from the parked window,
+// and the reopened stream then dequeues the same value twice, so it must
+// also find the violation from the parked frontier.
+//
+// In the settled case every batch is acked before the drop, so the
+// session's teardown (opGone) parks. In the job-out case the last batch's
+// job is held on its worker across the drop: the client half-closes and
+// reads the end of the stream, which the server closes only after the
+// dispatcher has torn the session down, so the object is known to be
+// abandoned with its job out. It must not park then, and must park when the
+// job comes back (finish).
+func TestAbandonedObjectParks(t *testing.T) {
+	deq := func(kind string, id uint64, res string) history.WireEvent {
+		return history.WireEvent{Kind: kind, Proc: 3, ID: id, Op: "Deq", Res: res}
+	}
+	stream := [][]history.WireEvent{
+		enq(1), enq(2), enq(3),
+		append(enq(4), deq("inv", 101, "")),
+		{deq("ret", 101, "1")},
+		enq(5),
+		{deq("inv", 102, ""), deq("ret", 102, "1")},
+		enq(6),
+	}
+	const dropAfter = 4
+	ref := check.NewIncremental(spec.Queue())
+	verdicts := make([]string, len(stream))
+	for i, b := range stream {
+		h, err := history.FromWire(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		verdicts[i] = ref.Append(h).String()
+	}
+	if verdicts[dropAfter-1] != "Yes" || verdicts[len(stream)-1] != "No" {
+		t.Fatalf("reference verdicts %v: want Yes across the drop and No at the end", verdicts)
+	}
+
+	for _, jobOut := range []bool{false, true} {
+		t.Run(map[bool]string{false: "settled", true: "job-out"}[jobOut], func(t *testing.T) {
+			parked := make(chan string, 4) // at most one park per session here
+			monitorserver.SetParkHook(t, func(obj string) { parked <- obj })
+			var hold atomic.Bool
+			gate, held := make(chan struct{}), make(chan struct{}, 1)
+			monitorserver.SetJobHook(t, func(string) {
+				if hold.Load() {
+					held <- struct{}{}
+					<-gate
+				}
+			})
+			srv := startServer(t, monitorserver.Options{})
+			var once sync.Once
+			release := func() { once.Do(func() { close(gate) }) }
+			t.Cleanup(release) // before srv.Close
+
+			c := dialRaw(t, srv, "abandoned")
+			c.want(monitorapi.FrameHello, 0, "", 0)
+			for i, b := range stream[:dropAfter] {
+				if jobOut && i == dropAfter-1 {
+					hold.Store(true)
+					c.batch(uint64(i+1), b...)
+					waitHeld(t, held)
+					hold.Store(false)
+					break
+				}
+				c.batch(uint64(i+1), b...)
+				c.want(monitorapi.FrameAck, uint64(i+1), verdicts[i], 0)
+			}
+			if len(parked) != 0 {
+				t.Fatalf("object parked while its session was attached")
+			}
+			if !jobOut {
+				c.nc.Close()
+			} else {
+				if err := c.nc.(*net.TCPConn).CloseWrite(); err != nil {
+					t.Fatal(err)
+				}
+				var f monitorapi.ServerFrame
+				if err := c.dec.Decode(&f); err != io.EOF {
+					t.Fatalf("after the half-close: got %+v, %v; want the end of the stream", f, err)
+				}
+				if len(parked) != 0 {
+					t.Fatalf("object parked with its job out")
+				}
+				release()
+			}
+			select {
+			case obj := <-parked:
+				if obj != "abandoned" {
+					t.Fatalf("parked %q, want the abandoned object", obj)
+				}
+			case <-time.After(readDeadline):
+				t.Fatal("the abandoned object was never parked")
+			}
+
+			c = dialRaw(t, srv, "abandoned")
+			if f := c.read(); f.Type != monitorapi.FrameHello || f.Acked != dropAfter {
+				t.Fatalf("reconnect: got %+v, want hello acked=%d", f, dropAfter)
+			}
+			for i := dropAfter; i < len(stream); i++ {
+				c.batch(uint64(i+1), stream[i]...)
+				c.want(monitorapi.FrameAck, uint64(i+1), verdicts[i], 0)
+			}
+			c.send(monitorapi.ClientFrame{Type: monitorapi.FrameBye})
+			if f := c.read(); f.Type != monitorapi.FrameStats || f.Verdict != "No" || f.Stats.Check != ref.Stats() {
+				t.Fatalf("stats after the reconnect: got %+v, want verdict No and the reference's %+v", f, ref.Stats())
+			}
+		})
 	}
 }
 

@@ -257,6 +257,16 @@ func (s *Server) acceptLoop() {
 	}
 }
 
+// The per-connection read and write buffers are recycled: a client that
+// opens one short session per connection would otherwise cost the collector
+// a fresh 16 KiB reader and 4 KiB writer every session. A buffer goes back
+// only after its connection is done with it, reset to nil so the pool holds
+// no connection.
+var (
+	readers = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 16<<10) }}
+	writers = sync.Pool{New: func() any { return bufio.NewWriter(nil) }}
+)
+
 // serveConn is the reader goroutine: read and decode frames, queue
 // dispatcher work. It spawns the writer and funnels a final opGone so the
 // dispatcher detaches the session however the connection ends.
@@ -274,7 +284,12 @@ func (s *Server) serveConn(conn net.Conn) {
 		// when the out-queue is empty: the acks of one finished job go out
 		// in one write. The last frame before out closes always finds it
 		// empty, so terminal frames are flushed before the final close.
-		w := bufio.NewWriter(conn)
+		w := writers.Get().(*bufio.Writer)
+		w.Reset(conn)
+		defer func() {
+			w.Reset(nil)
+			writers.Put(w)
+		}()
 		for f := range sess.out {
 			if f.Type == monitorapi.FrameAck {
 				// Return the credit before the ack can reach the wire: a client
@@ -296,7 +311,8 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 	}()
 
-	br := bufio.NewReaderSize(conn, 16<<10)
+	br := readers.Get().(*bufio.Reader)
+	br.Reset(conn)
 	var dec monitorapi.FrameDecoder
 	opened := false
 loop:
@@ -353,6 +369,10 @@ loop:
 			break loop
 		}
 	}
+	// Nothing decoded from a line aliases the buffer (events frames decode
+	// into fresh histories), so it can go back before the session ends.
+	br.Reset(nil)
+	readers.Put(br)
 	// The dispatcher may still hold queued work that enqueues frames for
 	// this session, so for an opened session it is the dispatcher — on
 	// processing opGone, its last message — that closes out. The connection
@@ -465,6 +485,11 @@ type job struct {
 // object's name. Tests set it to hold a job out; it is nil in production.
 var jobHook func(object string)
 
+// parkHook, when set, runs on the dispatcher after it parks an object's
+// monitor, with the object's name. Tests set it to see an object parked; it
+// is nil in production.
+var parkHook func(object string)
+
 // dispatcher is the state of the dispatcher goroutine: the only goroutine
 // that touches objects, sessions' object bindings and the Shards registry.
 // At most Options.Workers jobs are out at once, so jobs and done, each with
@@ -567,18 +592,36 @@ func (d *dispatcher) handle(msg ingestMsg) {
 			Type: monitorapi.FrameStats, Verdict: obj.verdict.String(),
 			Stats: &monitorapi.Stats{Check: obj.inc.Stats()},
 		}, d.srv)
-		// The object stays (a reopen resumes it), but until then it holds
-		// only what a checkpoint would. The session is done with it: a
-		// client whose Close returned may reopen the object before this
-		// session's teardown (opGone) reaches the dispatcher, and must not
-		// find its own old session still attached.
-		obj.inc.Park()
+		// The session is done with the object: a client whose Close
+		// returned may reopen it before this session's teardown (opGone)
+		// reaches the dispatcher, and must not find its own old session
+		// still attached.
 		obj.sess = nil
+		d.park(obj)
 	case opGone:
 		if obj := msg.sess.obj; obj != nil && obj.sess == msg.sess {
 			obj.sess = nil // object stays; a reconnect resumes it
+			d.park(obj)
 		}
 		close(msg.sess.out) // last message of the session: writer drains and exits
+	}
+}
+
+// park parks obj's monitor once nothing needs it awake: no session is
+// attached and nothing is staged, so no job holds the monitor. A save out
+// does not count: its payload is already encoded and the saver never touches
+// the monitor. The object stays — a reopen resumes it — but until then its
+// monitor holds only what a checkpoint would, packed
+// (check.Incremental.Park). A session that said bye leaves its object
+// settled; one that dropped its connection may leave jobs out, and the last
+// of them to come back (finish) parks.
+func (d *dispatcher) park(obj *object) {
+	if obj.sess != nil || obj.staged > 0 {
+		return
+	}
+	obj.inc.Park()
+	if parkHook != nil {
+		parkHook(obj.name)
 	}
 }
 
@@ -694,6 +737,7 @@ func (d *dispatcher) finish(j *job) {
 	if obj.nextN > 0 {
 		d.ready(obj)
 	} else {
+		d.park(obj)
 		d.pump()
 	}
 }
