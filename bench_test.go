@@ -550,6 +550,34 @@ func BenchmarkCommitCutSoak(b *testing.B) {
 	}
 }
 
+// BenchmarkCommitCutIngest prices steady-state ingest on a commit-cut
+// stream: the retained queue monitor alone (no oracle) on the wire_nq-shaped
+// workload of internal/soak B12IngestDeltas, one op per pass over the whole
+// stream. It reports per-event figures; B/event is the one cmd/perfgate
+// gates, because a commit cut or GC pass that copies the window shows up
+// there as bytes proportional to the window.
+func BenchmarkCommitCutIngest(b *testing.B) {
+	deltas := soak.B12IngestDeltas()
+	events := 0
+	for _, d := range deltas {
+		events += len(d)
+	}
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !soak.RunCommitCutIngest(deltas) {
+			b.Fatal("correct never-quiescent stream refuted")
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&ms1)
+	n := float64(b.N) * float64(events)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/event")
+	b.ReportMetric(float64(ms1.TotalAlloc-ms0.TotalAlloc)/n, "B/event")
+	b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/n, "allocs/event")
+}
+
 // TestSoakNeverQuiescentB12 is the B12 acceptance check: on a >=100k-op
 // stream with no globally quiescent point, the commit-point-cut monitor's
 // window is bounded by the policy while its verdicts match the unbounded

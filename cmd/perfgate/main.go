@@ -48,7 +48,11 @@
 //     window exceeds the policy bound, if its verdicts diverge from the
 //     unbounded monitor's, or if the degradation control (same stream,
 //     quiescent cuts only) unexpectedly stays bounded — which would mean
-//     the workload stopped demonstrating the hole the gate guards.
+//     the workload stopped demonstrating the hole the gate guards. Its
+//     ingest row (b12-ingest) fails CI if the commit-cut monitor alone
+//     allocates more than 800 B per event of BenchmarkCommitCutIngest's
+//     stream — that is, if commit cuts or the collector copy the window
+//     again (1,135 B/event when they did, 547 since).
 //
 //   - B13 fast-tier gate: the log-linear decision tier against the exact
 //     search on the pathological heavy-tail queue seed (internal/soak
@@ -116,6 +120,9 @@ const (
 	exitB13   = 7
 	exitB14   = 8
 )
+
+// b12IngestMaxBytes bounds the B12 ingest row's bytes per event.
+const b12IngestMaxBytes = 800
 
 // hostInfo records the measuring host in every gates JSON: benchmark numbers
 // without the hardware they were taken on are noise, and skip decisions
@@ -361,6 +368,36 @@ func run() int {
 		gate("b12-control", "fail", float64(ctl.MaxRetained), float64(ctl.Events), exitB12)
 	} else {
 		gate("b12-control", "pass", float64(ctl.MaxRetained), float64(ctl.Events), exitB12)
+	}
+	// The ingest row: bytes allocated per event by the retained commit-cut
+	// monitor alone, no oracle, on the wire_nq-shaped stream of
+	// BenchmarkCommitCutIngest. A commit cut or GC pass that copies the
+	// window again allocates in proportion to the window, which this row
+	// sees: 1,135 B/event when both copied it, 547 since both reuse the
+	// window's backing. The bound keeps 46 % headroom over 547 and sits
+	// 30 % under 1,135.
+	ingest := soak.B12IngestDeltas()
+	ingestEvents := 0
+	for _, d := range ingest {
+		ingestEvents += len(d)
+	}
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	ingestYes := soak.RunCommitCutIngest(ingest)
+	runtime.ReadMemStats(&ms1)
+	bytesPerEvent := float64(ms1.TotalAlloc-ms0.TotalAlloc) / float64(ingestEvents)
+	fmt.Printf("B12 ingest: commit-cut monitor alone, %d events, %.0f B/event (max %d)\n",
+		ingestEvents, bytesPerEvent, b12IngestMaxBytes)
+	switch {
+	case !ingestYes:
+		fmt.Fprintln(os.Stderr, "FAIL: B12 ingest stream refuted")
+		gate("b12-ingest", "fail", bytesPerEvent, b12IngestMaxBytes, exitB12)
+	case bytesPerEvent > b12IngestMaxBytes:
+		fmt.Fprintf(os.Stderr, "FAIL: B12 ingest allocates %.0f B/event, above the %d gate — commit cuts or GC copy the window again\n",
+			bytesPerEvent, b12IngestMaxBytes)
+		gate("b12-ingest", "fail", bytesPerEvent, b12IngestMaxBytes, exitB12)
+	default:
+		gate("b12-ingest", "pass", bytesPerEvent, b12IngestMaxBytes, exitB12)
 	}
 
 	// --- B13 fast-tier gate --------------------------------------------------

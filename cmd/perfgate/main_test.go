@@ -98,7 +98,7 @@ func TestGates(t *testing.T) {
 			t.Errorf("gate %s: status %s", g.Gate, g.Status)
 		}
 	}
-	for _, name := range []string{"b8", "b9", "b11", "b12", "b12-control", "b13", "b14"} {
+	for _, name := range []string{"b8", "b9", "b11", "b12", "b12-control", "b12-ingest", "b13", "b14"} {
 		if rows[name] != 1 {
 			t.Errorf("%d gates[] rows for %s, want 1", rows[name], name)
 		}

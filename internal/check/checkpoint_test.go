@@ -108,6 +108,7 @@ func TestCheckpointRestoreDifferential(t *testing.T) {
 						cur = roundTripImage(t, cur)
 					}
 					want := ref.Append(d)
+					sameResidencyAsWalk(t, ref, fmt.Sprintf("%s cfg=%d seed=%d delta %d", m.Name(), ci, seed, i))
 					got := cur.Append(d)
 					if got != want {
 						t.Fatalf("%s cfg=%d seed=%d: delta %d after restore at %d: verdict %v, reference %v",
@@ -150,6 +151,7 @@ func TestCheckpointEveryBoundary(t *testing.T) {
 	want := make([]Verdict, len(deltas))
 	for i, d := range deltas {
 		want[i] = ref.Append(d)
+		sameResidencyAsWalk(t, ref, fmt.Sprintf("delta %d", i))
 	}
 	for cut := 0; cut <= len(deltas); cut++ {
 		cur := NewIncremental(m, WithConfig(cfg))

@@ -1,6 +1,9 @@
 package check
 
 import (
+	"slices"
+	"sync/atomic"
+
 	"repro/internal/history"
 	"repro/internal/spec"
 )
@@ -121,7 +124,7 @@ type cutPlanner struct {
 	residentCount  int
 	// void records return events that contributed nothing to the resident
 	// multiset — consumed producers, and observations that released nothing
-	// — so residencyBefore can undo a window's contributions exactly.
+	// — so collect can fold a collected return's contribution exactly.
 	// Entries matter only while the return event is in the retained window;
 	// the collector purges them with the discarded prefix.
 	void    map[uint64]struct{}
@@ -130,11 +133,12 @@ type cutPlanner struct {
 	stride  int // minimum spacing between recorded candidates
 }
 
-// commitCutStride paces candidate recording: committing a cut costs a splice
-// of the retained window, so candidates a few events apart are pointless,
-// while pieces much larger than a GC batch risk the enumeration budget. A
-// quarter of the batch keeps per-piece enumerations small and the splice
-// cost amortised to O(1) per event.
+// commitCutStride paces candidate recording: committing a cut costs a
+// frontier enumeration and an in-place splice of the piece, so candidates a
+// few events apart are pointless, while pieces much larger than a GC batch
+// risk the enumeration budget. A quarter of the batch keeps per-piece
+// enumerations small. It amortises the piece, not the window: the splice
+// rewrites the piece's span in place and copies nothing else.
 func commitCutStride(p RetentionPolicy) int {
 	s := p.GCBatch / 4
 	if s < 1 {
@@ -259,57 +263,27 @@ func (pl *cutPlanner) shift(delta int) {
 	}
 }
 
-// residencyBefore reconstructs the resident multiset as of a window's start
-// by undoing the window's contributions out of the current totals. The void
-// memo makes each return's contribution exact — a consumed producer or a
-// nothing-to-release observation contributed zero and is skipped — so the
-// undo is a sum of known per-event deltas (order-independent) and the GC
-// base re-seeds exactly the residency the continuous Append path carried at
-// the horizon. Without the memo, an insert-then-observe pair wholly inside
-// the window, or a value observed while its insert was pending, would leave
-// phantom residents after a reload and permanently suppress rule 3.
-func (pl *cutPlanner) residencyBefore(window history.History) map[int64]int {
-	var m map[int64]int
-	if len(pl.resident) > 0 {
-		m = make(map[int64]int, len(pl.resident))
-		for v, c := range pl.resident {
-			m[v] = c
+// collect folds a return event the collector discards into base, the
+// residency at the GC horizon that window reloads re-seed, and drops its void
+// memo entry: the event counts in base what it counted in the totals when it
+// was tracked. Returns are collected in tracking order, so an observation
+// finds its resident already in base. It returns base, made on first use.
+func (pl *cutPlanner) collect(e history.Event, base map[int64]int) map[int64]int {
+	if _, void := pl.void[e.ID]; void {
+		delete(pl.void, e.ID)
+		return base
+	}
+	if v, prod := pl.so.CommitWitness(e.Op); prod {
+		if base == nil {
+			base = make(map[int64]int, 4)
+		}
+		base[v]++
+	} else if v, ok := pl.so.Observation(e.Op, e.Res); ok && base[v] > 0 {
+		if base[v]--; base[v] == 0 {
+			delete(base, v)
 		}
 	}
-	for _, e := range window {
-		if e.Kind != history.Return {
-			continue
-		}
-		if _, skip := pl.void[e.ID]; skip {
-			continue
-		}
-		// Algebraic undo: every non-void return contributed exactly ±1, so
-		// counts may go negative transiently (a window that observes a value
-		// before re-inserting it walks through -1) and settle exactly;
-		// clamping mid-walk would freeze order-dependent phantoms instead.
-		if v, prod := pl.so.CommitWitness(e.Op); prod {
-			if m == nil {
-				m = make(map[int64]int, 4)
-			}
-			m[v]--
-			continue
-		}
-		if v, ok := pl.so.Observation(e.Op, e.Res); ok {
-			if m == nil {
-				m = make(map[int64]int, 4)
-			}
-			m[v]++
-		}
-	}
-	for v, c := range m {
-		if c <= 0 {
-			delete(m, v)
-		}
-	}
-	if len(m) == 0 {
-		return nil
-	}
-	return m
+	return base
 }
 
 // seedResident folds a GC-base residency snapshot back in after a reset: the
@@ -371,25 +345,30 @@ func (inc *Incremental) advanceCommitCuts() {
 // reachable-state set and the carried producers' invocations are restaged at
 // the head of the remaining segment, where the next segment check treats
 // them as ordinary pending calls. The retained window keeps its length (the
-// splice moves the carried invocations, it discards nothing); the regular
-// collector then reclaims the committed region once it holds GCBatch
-// events.
+// splice moves the carried invocations, it discards nothing), so the splice
+// rewrites h[cutIdx:q] in place; the regular collector then reclaims the
+// committed region once it holds GCBatch events.
 func (inc *Incremental) commitCutAt(c commitCut) {
 	q := c.pos
-	carriedIDs := make(map[uint64]struct{}, len(c.carried))
-	for _, co := range c.carried {
-		carriedIDs[co.id] = struct{}{}
-	}
 	// The committed piece: every operation that completed before the cut.
 	// The carried producers contribute only invocation events here (their
 	// returns are at or beyond q by definition of pending-at-q), and those
-	// move into the segment.
-	piece := make(history.History, 0, q-inc.cutIdx-len(c.carried))
+	// move into the segment. A scan of c.carried finds them: at most one
+	// operation per process is open. The piece goes to a scratch buffer, so
+	// a cut dropped below leaves the window untouched.
+	piece := inc.piece[:0]
 	for _, e := range inc.h[inc.cutIdx:q] {
-		if _, carried := carriedIDs[e.ID]; carried {
-			continue
+		if !slices.ContainsFunc(c.carried, func(co carriedOp) bool { return co.id == e.ID }) {
+			piece = append(piece, e)
 		}
-		piece = append(piece, e)
+	}
+	inc.piece = piece
+	if len(piece) != q-inc.cutIdx-len(c.carried) {
+		// Some carried invocation is not in the piece's span, so the splice
+		// would not preserve the window's length. The planner never records
+		// such a candidate; drop it as an over-budget cut is dropped.
+		pieceGuardFired.Add(1)
+		return
 	}
 	// A state that exactly refuted the whole segment contributes nothing
 	// when the piece is the segment's completed part (any piece witness
@@ -399,20 +378,18 @@ func (inc *Incremental) commitCutAt(c commitCut) {
 	if !ok {
 		return // over budget; the caller drops the candidate
 	}
-	// Splice: committed region ++ completed piece ++ restaged carried
-	// invocations ++ untouched tail. Window length is preserved, so every
-	// recorded position at or beyond q keeps its meaning.
-	nh := make(history.History, 0, len(inc.h))
-	nh = append(nh, inc.h[:inc.cutIdx]...)
-	nh = append(nh, piece...)
-	cut := len(nh)
-	for _, co := range c.carried {
-		nh = append(nh, history.Event{Kind: history.Invoke, Proc: co.proc, ID: co.id, Op: co.op})
+	// Splice: completed piece ++ restaged carried invocations over
+	// h[cutIdx:q]. Window length is preserved, so every recorded position at
+	// or beyond q keeps its meaning.
+	cut := inc.cutIdx + copy(inc.h[inc.cutIdx:], piece)
+	for i, co := range c.carried {
+		inc.h[cut+i] = history.Event{Kind: history.Invoke, Proc: co.proc, ID: co.id, Op: co.op}
 	}
-	nh = append(nh, inc.h[q:]...)
-	inc.h = nh
 	inc.installFrontier(cut, next)
 	inc.stats.CommitCuts++
 	inc.stats.CarriedOps += len(c.carried)
 	inc.gc()
 }
+
+// pieceGuardFired counts the commit cuts the piece-length guard dropped.
+var pieceGuardFired atomic.Int64

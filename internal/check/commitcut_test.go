@@ -3,7 +3,9 @@ package check
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/history"
 	"repro/internal/spec"
@@ -195,6 +197,7 @@ func TestCommitCutReloadWindow(t *testing.T) {
 				t.Fatalf("reload verdict %v, oracle %v", got, vo)
 			}
 		}
+		sameResidencyAsWalk(t, inc, fmt.Sprintf("burst %d", k))
 	}
 	if inc.Verdict() != Yes {
 		t.Fatal("correct stream refuted after reload")
@@ -221,6 +224,13 @@ func FuzzCommitCuts(f *testing.F) {
 		w := 1 + int(workers)%4
 		pol := RetentionPolicy{GCBatch: 1 + int(gcb)%32, CommitCuts: true}
 
+		// The piece-length guard must never fire on a planner's candidate.
+		fired := pieceGuardFired.Load()
+		defer func() {
+			if n := pieceGuardFired.Load() - fired; n != 0 {
+				t.Fatalf("the piece-length guard dropped %d commit-cut candidates", n)
+			}
+		}()
 		check := func(h history.History, label string) {
 			seq := NewIncremental(m, WithConfig(Config{Retain: true, Retention: pol}))
 			par := NewIncremental(m, WithConfig(Config{Retain: true, Retention: pol, Parallelism: w}))
@@ -387,6 +397,7 @@ func TestCommitCutReloadKeepsCutting(t *testing.T) {
 				t.Fatalf("reload refuted: %v", reld.Err())
 			}
 		}
+		sameResidencyAsWalk(t, reld, fmt.Sprintf("burst %d", k))
 	}
 	if got := reld.Stats().CommitCuts; got <= atReload {
 		t.Fatalf("no commit cut after the reload (%d before, %d at end; continuous path: %d) — residency seeding is blocking rule 3",
@@ -492,5 +503,136 @@ func TestFastTierCommitCutEquivalence(t *testing.T) {
 	}
 	if cuts == 0 {
 		t.Fatal("no commit cut ever fired: the sweep missed the planner interleave")
+	}
+}
+
+// TestCommitCutSpliceInPlace pins the no-copy property of commit cuts and
+// the collector: once the window has grown to its working size, commit
+// cuts splice it in place and GC passes compact it into the same backing
+// array, so its backing (unsafe.SliceData) never changes however many cuts
+// and collections run. Verdicts are held to Linearizable on the whole
+// history at every append.
+func TestCommitCutSpliceInPlace(t *testing.T) {
+	const warmup = 8 // appends before the window reaches its working size
+	m := spec.Queue()
+	h := trace.NeverQuiescent(m, 8, 4, 3000)
+	inc := NewIncremental(m, WithConfig(Config{Retain: true, Retention: RetentionPolicy{CommitCuts: true}}))
+	var backing *history.Event
+	var cuts0, gcs0 int
+	prefix := 0
+	for k, d := range splitBursts(h, 32) {
+		prefix += len(d)
+		got := inc.Append(d)
+		if want := Linearizable(m, h[:prefix]).Ok; (got == Yes) != want {
+			t.Fatalf("append %d: verdict %v, Linearizable on the whole history %v", k, got, want)
+		}
+		switch {
+		case k == warmup:
+			backing = unsafe.SliceData(inc.h)
+			cuts0, gcs0 = inc.stats.CommitCuts, inc.stats.GCRuns
+		case k > warmup && unsafe.SliceData(inc.h) != backing:
+			t.Fatalf("append %d: the window moved to a new backing (len %d, cap %d) after %d commit cuts and %d GC runs",
+				k, len(inc.h), cap(inc.h), inc.stats.CommitCuts-cuts0, inc.stats.GCRuns-gcs0)
+		}
+	}
+	cuts, gcs := inc.stats.CommitCuts-cuts0, inc.stats.GCRuns-gcs0
+	if cuts < 100 || gcs < 10 {
+		t.Fatalf("after warm-up only %d commit cuts and %d GC runs, want >= 100 and >= 10", cuts, gcs)
+	}
+}
+
+// TestCommitCutPieceGuard: a candidate whose carried invocation lies
+// outside the piece's span cannot be spliced in place without changing the
+// window's length. commitCutAt drops it, as it drops an over-budget cut,
+// and leaves the window and the cut exactly as they were.
+func TestCommitCutPieceGuard(t *testing.T) {
+	m := spec.Queue()
+	inc := NewIncremental(m, WithConfig(Config{Retain: true, Retention: RetentionPolicy{GCBatch: 1 << 20, CommitCuts: true}}))
+	if inc.Append(trace.NeverQuiescent(m, 8, 4, 40)) != Yes {
+		t.Fatal("correct stream refuted")
+	}
+	before := slices.Clone(inc.h)
+	cutIdx, cuts, fired := inc.cutIdx, inc.stats.CommitCuts, pieceGuardFired.Load()
+	bogus := commitCut{pos: len(inc.h), carried: []carriedOp{{proc: 9, id: 1 << 40, op: spec.Operation{Method: spec.MethodEnq, Arg: 1}}}}
+	inc.commitCutAt(bogus)
+	if pieceGuardFired.Load() != fired+1 {
+		t.Fatal("the piece-length guard did not fire on a carried op outside the window")
+	}
+	if !slices.Equal(inc.h, before) || inc.cutIdx != cutIdx || inc.stats.CommitCuts != cuts {
+		t.Fatalf("a dropped cut changed the monitor: cut %d -> %d, commit cuts %d -> %d, window equal %v",
+			cutIdx, inc.cutIdx, cuts, inc.stats.CommitCuts, slices.Equal(inc.h, before))
+	}
+}
+
+// residencyBefore reconstructs the resident multiset as of a window's start
+// by undoing the window's contributions out of the current totals. The
+// collector used to run it on every pass; it is now the reference that
+// cutPlanner.collect, which folds each collected return into the base
+// instead, is held to (sameResidencyAsWalk). The void
+// memo makes each return's contribution exact — a consumed producer or a
+// nothing-to-release observation contributed zero and is skipped — so the
+// undo is a sum of known per-event deltas (order-independent) and the GC
+// base re-seeds exactly the residency the continuous Append path carried at
+// the horizon. Without the memo, an insert-then-observe pair wholly inside
+// the window, or a value observed while its insert was pending, would leave
+// phantom residents after a reload and permanently suppress rule 3.
+func (pl *cutPlanner) residencyBefore(window history.History) map[int64]int {
+	var m map[int64]int
+	if len(pl.resident) > 0 {
+		m = make(map[int64]int, len(pl.resident))
+		for v, c := range pl.resident {
+			m[v] = c
+		}
+	}
+	for _, e := range window {
+		if e.Kind != history.Return {
+			continue
+		}
+		if _, skip := pl.void[e.ID]; skip {
+			continue
+		}
+		// Algebraic undo: every non-void return contributed exactly ±1, so
+		// counts may go negative transiently (a window that observes a value
+		// before re-inserting it walks through -1) and settle exactly;
+		// clamping mid-walk would freeze order-dependent phantoms instead.
+		if v, prod := pl.so.CommitWitness(e.Op); prod {
+			if m == nil {
+				m = make(map[int64]int, 4)
+			}
+			m[v]--
+			continue
+		}
+		if v, ok := pl.so.Observation(e.Op, e.Res); ok {
+			if m == nil {
+				m = make(map[int64]int, 4)
+			}
+			m[v]++
+		}
+	}
+	for v, c := range m {
+		if c <= 0 {
+			delete(m, v)
+		}
+	}
+	if len(m) == 0 {
+		return nil
+	}
+	return m
+}
+
+// sameResidencyAsWalk holds the GC-base residency the collector keeps to
+// residencyBefore's walk of the window, at any point after any append: the
+// checkpoint image carries it, so the two must agree for images to be what
+// they were when the collector ran the walk. A window an ill-formed delta
+// left behind holds events the planner never tracked, which the walk would
+// undo, so a monitor with an error is skipped.
+func sameResidencyAsWalk(t *testing.T, inc *Incremental, label string) {
+	t.Helper()
+	if inc.planner == nil || inc.err != nil {
+		return
+	}
+	got, want := encodeResident(inc.baseResident), encodeResident(inc.planner.residencyBefore(inc.h))
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s: GC-base residency %v, the window walk gives %v", label, got, want)
 	}
 }

@@ -2,6 +2,7 @@ package check
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/check/loglin"
 	"repro/internal/history"
@@ -73,8 +74,9 @@ type Incremental struct {
 	searches []*segSearch // persistent segment search per frontier state
 	dead     []bool       // retention: frontier states that exactly refuted the segment
 
-	planner      *cutPlanner   // commit-point cuts; nil unless retaining a StronglyOrdered model with CommitCuts
-	baseResident map[int64]int // planner residency at the GC base, for window reloads
+	planner      *cutPlanner     // commit-point cuts; nil unless retaining a StronglyOrdered model with CommitCuts
+	baseResident map[int64]int   // planner residency at the GC base, for window reloads
+	piece        history.History // commit-cut scratch: the piece being committed (commitCutAt)
 
 	respDropped int   // response events released by GC, cumulative
 	invDropped  []int // invocation events released by GC, per process, cumulative
@@ -627,8 +629,9 @@ func (inc *Incremental) installFrontier(cut int, states []spec.State) {
 	inc.releaseSearches()
 	inc.cutIdx = cut
 	inc.frontier = detachStates(states)
-	inc.searches = make([]*segSearch, len(states))
-	inc.dead = make([]bool, len(states))
+	clear(inc.searches) // a released search past the new length would stay reachable
+	inc.searches = append(inc.searches[:0], make([]*segSearch, len(states))...)
+	inc.dead = append(inc.dead[:0], make([]bool, len(states))...)
 	inc.stats.Compactions++
 	inc.stats.FrontierStates = len(states)
 }
@@ -675,6 +678,9 @@ func (inc *Incremental) compactWitness(lin []LinOp, end int) {
 // choice). It runs right after installFrontier, before any search has rooted
 // at the new frontier, and the base gets detached copies of its own: the
 // frontier states are about to grow search chains the base must not pin.
+// The kept window moves to the front of its own backing, whose vacated tail
+// is cleared, so a steady stream collects without allocating; a backing over
+// four times the kept window and the GC batch is given up for a fitted copy.
 func (inc *Incremental) gc() {
 	cut := inc.cutIdx
 	if cut < inc.policy.GCBatch {
@@ -682,7 +688,7 @@ func (inc *Incremental) gc() {
 	}
 	for _, e := range inc.h[:cut] {
 		if inc.planner != nil && e.Kind == history.Return {
-			delete(inc.planner.void, e.ID)
+			inc.baseResident = inc.planner.collect(e, inc.baseResident)
 		}
 		if e.Kind == history.Invoke {
 			// Carried producer invocations are never here: commit cuts splice
@@ -700,7 +706,13 @@ func (inc *Incremental) gc() {
 			inc.respDropped++
 		}
 	}
-	inc.h = inc.h[cut:] // appends reallocate at O(window), releasing the prefix
+	if kept := inc.h[cut:]; cap(inc.h) > 4*max(len(kept), inc.policy.GCBatch) {
+		inc.h = slices.Clone(kept)
+	} else {
+		n := copy(inc.h, kept)
+		clear(inc.h[n:])
+		inc.h = inc.h[:n]
+	}
 	inc.hBase += cut
 	inc.cutIdx = 0
 	kept := inc.cuts[:0]
@@ -712,12 +724,6 @@ func (inc *Incremental) gc() {
 	inc.cuts = kept
 	if inc.planner != nil {
 		inc.planner.shift(cut)
-		// Residency AT the horizon, not at GC time: the planner's totals
-		// include everything tracked since, so the kept window's
-		// contribution is reversed back out. Snapshotting the totals
-		// instead would make a later window reload re-seed the wrong
-		// multiset and diverge from the continuous Append path.
-		inc.baseResident = inc.planner.residencyBefore(inc.h)
 	}
 	inc.base = detachStates(inc.frontier)
 	inc.stats.GCRuns++
@@ -828,7 +834,10 @@ func (inc *Incremental) Verdict() Verdict { return inc.verdict }
 // is the whole history — the violation witness once the verdict is No. Under
 // retention it is only the window since the GC horizon (Discarded says
 // how much is gone); on a violation the window is frozen as the witness.
-// Callers must not modify it. A parked monitor returns a fresh copy decoded
+// Callers must not modify it. The slice aliases the monitor's window, which
+// commit cuts and the collector rewrite in place: the next Append,
+// ReloadWindow or Park may overwrite or drop it, so a caller that keeps it
+// past that must clone it. A parked monitor returns a fresh copy decoded
 // from its parked window and stays parked.
 func (inc *Incremental) History() history.History {
 	if p := inc.parked; p != nil {
@@ -879,12 +888,7 @@ func (inc *Incremental) Stats() IncStats { return inc.stats }
 
 // Parallelism returns the configured worker count (1 for the sequential
 // engine).
-func (inc *Incremental) Parallelism() int {
-	if inc.workers < 1 {
-		return 1
-	}
-	return inc.workers
-}
+func (inc *Incremental) Parallelism() int { return inc.workers }
 
 // WorkerStats returns a copy of the per-worker-slot diagnostics, or nil
 // without Config.Parallelism. Unlike IncStats these are scheduling-dependent

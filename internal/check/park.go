@@ -18,7 +18,8 @@ import (
 //     the current segment, as after a restore;
 //   - pendingOp and seenIDs, which the next non-empty Append re-derives from
 //     the window (ensureOpenOps);
-//   - the spare capacity of the quiescent-boundary queue.
+//   - the spare capacity of the quiescent-boundary queue, and the piece
+//     buffer commit cuts reuse.
 //
 // What it keeps, it keeps as bytes (parkedMonitor): the window as one
 // pointer-free varint buffer, about 8 B per event where a history.Event
@@ -47,6 +48,7 @@ func (inc *Incremental) Park() {
 	inc.releaseSearches()
 	clear(inc.searches)
 	inc.pendingOp, inc.seenIDs = nil, nil
+	inc.piece = nil
 	p := &parkedMonitor{window: packEvents(inc.h), events: len(inc.h)}
 	inc.cuts = slices.Clone(inc.cuts)
 	p.frontier = encodeStates(inc.frontier)

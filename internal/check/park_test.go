@@ -291,29 +291,75 @@ func liveHeap() uint64 {
 	return ms.HeapAlloc
 }
 
-// TestParkedFootprint: a parked short-lived object costs what its packed
-// window and encoded frontier cost, not what its search grew nor 72 B per
-// event. 2 000 objects_churn-style monitors, parked as the service parks
-// them on bye, hold at most 3 kB of live heap each (about 1.6 kB measured;
-// 7.1 kB when Park kept the window as events and the frontier as detached
-// states).
+// TestParkedFootprint: a parked monitor costs what its packed window and
+// encoded frontier cost, not what its search grew nor 72 B per event, and
+// at most 3 kB of live heap. Two legs:
+//
+//   - objects_churn: 2 000 objects_churn-style monitors, parked as the
+//     service parks them on bye (about 1.6 kB each; 7.1 kB when Park kept
+//     the window as events and the frontier as detached states);
+//   - commit-cut: 200 retained queue monitors with commit-point cuts, each
+//     parked after at least 100 cuts, so Park must also drop the buffers a
+//     commit cut keeps for reuse.
 func TestParkedFootprint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds 2000 monitors")
 	}
-	const n, budget = 2000, 3 << 10
-	before := liveHeap()
-	s := churnShards(n)
-	for i := 0; i < s.Len(); i++ {
-		s.Shard(i).Park()
+	const budget = 3 << 10
+	legs := []struct {
+		name  string
+		n     int
+		build func(n int) *Shards
+	}{
+		{"objects_churn", 2000, churnShards},
+		{"commit-cut", 200, func(n int) *Shards {
+			s := commitCutShards(n)
+			for i := range n {
+				if c := s.Shard(i).Stats().CommitCuts; c < 100 {
+					t.Fatalf("monitor %d parks after %d commit cuts, want >= 100", i, c)
+				}
+			}
+			return s
+		}},
 	}
-	after := liveHeap()
-	per := (int64(after) - int64(before)) / n
-	t.Logf("%d parked monitors: %d B live heap each", n, per)
-	if per > budget {
-		t.Fatalf("parked monitors hold %d B of live heap each, want <= %d", per, budget)
+	for _, leg := range legs {
+		t.Run(leg.name, func(t *testing.T) {
+			before := liveHeap()
+			s := leg.build(leg.n)
+			for i := 0; i < s.Len(); i++ {
+				s.Shard(i).Park()
+			}
+			after := liveHeap()
+			per := (int64(after) - int64(before)) / int64(leg.n)
+			t.Logf("%d parked monitors: %d B live heap each", leg.n, per)
+			if per > budget {
+				t.Fatalf("parked monitors hold %d B of live heap each, want <= %d", per, budget)
+			}
+			runtime.KeepAlive(s)
+		})
 	}
-	runtime.KeepAlive(s)
+}
+
+// commitCutShards builds n wire_nq-style monitors in one Shards: retained
+// queue monitors with commit-point cuts and the default GC batch, each
+// driven through its own never-quiescent stream of 1 000 operations in
+// 32-event deltas.
+func commitCutShards(n int) *Shards {
+	s := NewShards(nil, 1)
+	deltas := make([]history.History, n)
+	cfg := WithConfig(Config{Retain: true, Retention: RetentionPolicy{CommitCuts: true}})
+	for i := range n {
+		h := trace.NeverQuiescent(spec.Queue(), int64(i)+1, 4, 1000)
+		idx := s.Add(spec.Queue(), cfg)
+		for len(h) > 0 {
+			k := min(32, len(h))
+			deltas[idx] = h[:k]
+			s.Append(deltas)
+			h = h[k:]
+		}
+		deltas[idx] = nil
+	}
+	return s
 }
 
 // TestShardsSparseRound: a round with one delta among many shards advances

@@ -74,7 +74,7 @@ func NewStore(fs FS, dir string) (*Store, error) {
 // the final name is untouched (at worst a temp file holds partial bytes,
 // which no reader ever trusts).
 func (st *Store) Save(key string, expect uint64, payload []byte) (uint64, error) {
-	newest, _, err := st.scan(key)
+	newest, gens, err := st.scan(key)
 	if err != nil {
 		return 0, err
 	}
@@ -108,7 +108,7 @@ func (st *Store) Save(key string, expect uint64, payload []byte) (uint64, error)
 	if err := st.fs.Rename(tmp, final); err != nil {
 		return 0, fmt.Errorf("ckpt: save %q: %w", key, err)
 	}
-	st.prune(key, gen)
+	st.prune(key, gen, gens)
 	return gen, nil
 }
 
@@ -172,14 +172,12 @@ func (st *Store) scan(key string) (newest uint64, gens []uint64, err error) {
 	return newest, gens, nil
 }
 
-// prune removes generations older than the keepGenerations newest. Removal
-// failures are ignored: an unremovable stale generation costs disk, not
-// correctness (restore prefers newer generations).
-func (st *Store) prune(key string, newest uint64) {
-	_, gens, err := st.scan(key)
-	if err != nil {
-		return
-	}
+// prune removes generations older than the keepGenerations newest. gens is
+// the listing Save took before it wrote newest, the one generation added
+// since, so no second listing is needed. Removal failures are ignored: an
+// unremovable stale generation costs disk, not correctness (restore prefers
+// newer generations).
+func (st *Store) prune(key string, newest uint64, gens []uint64) {
 	for _, gen := range gens {
 		if gen+keepGenerations <= newest {
 			st.fs.Remove(filepath.Join(st.dir, genFile(key, gen))) //nolint:errcheck

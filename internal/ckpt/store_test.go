@@ -138,45 +138,49 @@ func TestStoreCorruptPayloadFallsBack(t *testing.T) {
 // TestStoreCrashPoints: a crash injected at every step of the save path
 // leaves the previous generation restorable — the atomic-rename discipline's
 // whole point. A crash after the rename is indistinguishable from success.
+// The store holds two generations before the save, so the save's prune has
+// one to remove.
 func TestStoreCrashPoints(t *testing.T) {
 	cases := []struct {
 		name      string
 		op        Op
 		committed bool // the new generation survives the crash
 	}{
+		{"readdir", OpReadDir, false}, // the one listing, before anything is written
 		{"create", OpCreate, false},
 		{"write", OpWrite, false},
 		{"sync", OpSync, false},
 		{"rename", OpRename, false},
-		{"readdir-after", OpReadDir, true}, // prune's scan; the rename already happened
+		{"remove-after", OpRemove, true}, // prune; the rename already happened
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			st, ffs, _ := newTestStore(t)
-			mustSave(t, st, "k", 0, "before")
-			n := 1
-			if tc.op == OpReadDir {
-				n = 2 // the save path scans once up front; crash the prune scan
-			}
-			ffs.FailN(tc.op, n, ErrCrashed)
-			_, err := st.Save("k", 1, []byte("after"))
+			mustSave(t, st, "k", 0, "older")
+			mustSave(t, st, "k", 1, "before")
+			ffs.FailN(tc.op, 1, ErrCrashed)
+			reached := ffs.Ops[tc.op]
+			_, err := st.Save("k", 2, []byte("after"))
 			ffs.Arm(nil)
+			if ffs.Ops[tc.op] == reached {
+				t.Fatalf("the save never reached a %s", tc.op)
+			}
 			if tc.committed {
 				// prune failures are ignored; the save itself succeeded
 				if err != nil {
 					t.Fatalf("Save with post-rename crash: %v", err)
 				}
-				mustRestore(t, st, "k", "after", 2)
+				mustRestore(t, st, "k", "after", 3)
 				return
 			}
 			if err == nil {
 				t.Fatalf("Save with %s crash unexpectedly succeeded", tc.op)
 			}
-			mustRestore(t, st, "k", "before", 1)
-			// The store recovers: the next save (still from generation 1)
+			mustRestore(t, st, "k", "before", 2)
+			// The store recovers: the next save (still from generation 2)
 			// works and wins.
-			mustSave(t, st, "k", 1, "retry")
-			mustRestore(t, st, "k", "retry", 2)
+			mustSave(t, st, "k", 2, "retry")
+			mustRestore(t, st, "k", "retry", 3)
 		})
 	}
 }
@@ -199,11 +203,18 @@ func TestStoreNoSpace(t *testing.T) {
 }
 
 // TestStoreAnyFailPrefix: under an adversarial schedule that fails the i-th
-// filesystem operation of every class, any prefix of checkpoint attempts
-// leaves the store restorable to the newest successfully renamed generation —
-// the crash-restart contract, enumerated exhaustively at the store level.
+// filesystem operation of a run of five saves, for every i the run reaches,
+// any prefix of checkpoint attempts leaves the store restorable to the
+// newest successfully renamed generation — the crash-restart contract,
+// enumerated exhaustively at the store level. The last schedule fails
+// nothing.
 func TestStoreAnyFailPrefix(t *testing.T) {
-	for fail := 1; fail <= 30; fail++ {
+	const saves = 5
+	payload := func(g uint64) string { return fmt.Sprintf("payload-%d", g) }
+	// run makes the saves against a fresh store, crashing its fail-th
+	// operation (none when fail is 0), and returns how many operations the
+	// saves made.
+	run := func(fail int) int {
 		mem := NewMemFS()
 		ffs := NewFaultFS(mem)
 		ffs.Torn = true // worst case: every failed write tears
@@ -219,10 +230,8 @@ func TestStoreAnyFailPrefix(t *testing.T) {
 			}
 			return nil
 		})
-		var lastGood uint64
-		payload := func(g uint64) string { return fmt.Sprintf("payload-%d", g) }
-		gen := uint64(0)
-		for i := 0; i < 5; i++ {
+		var lastGood, gen uint64
+		for i := 0; i < saves; i++ {
 			g, err := st.Save("k", gen, []byte(payload(gen+1)))
 			if err == nil {
 				gen, lastGood = g, g
@@ -250,9 +259,20 @@ func TestStoreAnyFailPrefix(t *testing.T) {
 			}
 			lastGood, gen = g2, g2
 		}
+		ops := total
+		ffs.Arm(nil)
 		if lastGood > 0 {
 			mustRestore(t, st, "k", payload(lastGood), lastGood)
 		}
+		return ops
+	}
+	ops := run(0)
+	t.Logf("%d saves make %d filesystem operations; each is crashed in turn", saves, ops)
+	if ops < 5*saves {
+		t.Fatalf("five saves made %d filesystem operations, want at least %d", ops, 5*saves)
+	}
+	for fail := 1; fail <= ops+1; fail++ {
+		run(fail)
 	}
 }
 

@@ -497,7 +497,10 @@ func (iv *IncVerifier) Verdict() check.Verdict { return iv.verdict }
 func (iv *IncVerifier) Err() error { return iv.err }
 
 // Witness returns the assembled history — the violation witness when the
-// verdict is No. Callers must not modify it.
+// verdict is No. Callers must not modify it. Under retention it is the
+// monitor's window (check.Incremental.History), which the next ingest may
+// rewrite in place while the verdict is Yes; a caller that keeps it past
+// that must clone it. A refuted monitor's window is never rewritten.
 func (iv *IncVerifier) Witness() history.History {
 	if iv.inc != nil {
 		return iv.inc.History()

@@ -11,6 +11,9 @@ import (
 // Report is an (ERROR, X(τ)) report of the verifier (Line 11 of Figure 10):
 // a witness history of A* that does not belong to the object. Predictive
 // soundness (Theorem 8.1) guarantees the witness really is a history of A*.
+// A decoupled pipeline's Witness is its IncVerifier's (see Witness there):
+// the window of a refuted monitor, which nothing rewrites any more. A caller
+// that takes a witness from a monitor that is still running must clone it.
 type Report struct {
 	Proc    int
 	Witness history.History

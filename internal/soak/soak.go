@@ -133,6 +133,38 @@ func B12Models() []spec.Model {
 // B12Burst is the append granularity of the B12 runs: events per Append.
 const B12Burst = 64
 
+// B12IngestDeltas is the ingest workload of BenchmarkCommitCutIngest and
+// the cmd/perfgate B12 bytes-per-event row: the shape of one linbench
+// wire_nq session — trace.NeverQuiescent over 4 queue processes, 50 000
+// operations, in 32-event deltas.
+func B12IngestDeltas() []history.History {
+	h := trace.NeverQuiescent(spec.Queue(), 8, 4, 50000)
+	var deltas []history.History
+	for len(h) > 0 {
+		n := min(32, len(h))
+		deltas = append(deltas, h[:n])
+		h = h[n:]
+	}
+	return deltas
+}
+
+// RunCommitCutIngest feeds deltas to a fresh retained queue monitor with
+// commit-point cuts and the default GC batch (linmond's wire_nq
+// configuration) and reports whether every append answered Yes. No oracle
+// runs beside it, so what a caller times or counts is the retained monitor
+// alone.
+func RunCommitCutIngest(deltas []history.History) bool {
+	inc := check.NewIncremental(spec.Queue(), check.WithConfig(check.Config{
+		Retain: true, Retention: check.RetentionPolicy{CommitCuts: true},
+	}))
+	for _, d := range deltas {
+		if inc.Append(d) != check.Yes {
+			return false
+		}
+	}
+	return true
+}
+
 // RunNeverQuiescent is the shared body of the B12 acceptance checks
 // (TestSoakNeverQuiescentB12, BenchmarkCommitCutSoak, the cmd/perfgate B12
 // gate): it streams the never-quiescent workload (trace.NeverQuiescent — no
